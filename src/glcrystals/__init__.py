@@ -15,15 +15,15 @@ from .cactus import (CactusWord, inner_act, outer_act, parse_word,
 from .core import (Component, Crystal, Report, character, check_crystal_axioms,
                    component, components, export_graph, is_morphism,
                    kashiwara_reflection, schuetzenberger,
-                   schuetzenberger_by_path, to_highest_path,
+                   schuetzenberger_by_path, to_highest_path, to_lowest_path,
                    verify_involution_properties)
-from .gt import (beta, bk_move, bk_q, check_cgp_homomorphism, gt_pattern,
-                 gt_to_tableau, patterns_with_top, tableau_to_gt)
+from .gt import (PatternCrystal, beta, bk_move, bk_q, check_cgp_homomorphism,
+                 gt_pattern, gt_to_tableau, pattern_crystal, patterns_with_top,
+                 tableau_to_gt)
 from .matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi, bit_matrices,
                        bit_matrix, col_structure, fundamental_crystal,
-                       fundamental_e, fundamental_f, matrix_col_crystal,
-                       matrix_row_crystal, row_structure, verify_commutation,
-                       verify_dual_implementation)
+                       matrix_col_crystal, matrix_row_crystal, row_structure,
+                       verify_commutation, verify_dual_implementation)
 from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
                        duality_iso, phi_inv, phi_map, psi_inv, psi_map, re_max,
                        rotate90, verify_agreement, verify_corollary,
@@ -31,7 +31,6 @@ from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
 from .tableaux import (TableauCrystal, apply_e, apply_f, enumerate_b_lambda,
                        highest_tableau, signature, ssyt, tableau_crystal,
                        weight_of)
-from .tensor import (TensorCrystal, tensor_crystal, tensor_e,
-                     tensor_eps_profile, tensor_f)
+from .tensor import TensorCrystal, tensor_crystal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,11 +38,6 @@ def transpose(lam) -> Partition:
     return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
 
 
-def fits_in_box(lam, rows: int, cols: int) -> bool:
-    lam = partition(lam)
-    return len(lam) <= rows and (not lam or lam[0] <= cols)
-
-
 def partitions_in_box(rows: int, cols: int, size: int):
     """All partitions of `size` fitting in a rows x cols box."""
     def rec(remaining, max_part, max_len):

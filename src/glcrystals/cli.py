@@ -12,7 +12,7 @@ failure (the witness is printed), 2 on usage errors or malformed input.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from math import comb
 
 from . import gt as gtmod
@@ -21,7 +21,7 @@ from . import tableaux as tab
 from .base import format_partition, parse_partition, partitions_in_box
 from .cactus import (inner_act, outer_act, parse_word,
                      verify_cactus_relations, verify_reduced_braid)
-from .core import (Crystal, Report, character, check_crystal_axioms,
+from .core import (Report, character, check_crystal_axioms, components,
                    export_graph, verify_involution_properties)
 from .goldens import GOLDENS
 from .gt import check_cgp_homomorphism
@@ -41,27 +41,22 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # model selection helpers
 
-class _PatternCrystal(Crystal):
-    """Patterns with operators conjugated through the tableau bijection."""
+def _check_matrix_size(n: int, m: int, N: int | None) -> None:
+    """Reject matrix selectors that would enumerate nothing."""
+    if n < 1 or m < 1:
+        raise UsageError(f"--n and --m must be at least 1, got n={n} m={m}")
+    if N is not None and not 0 <= N <= n * m:
+        raise UsageError(f"--N must lie in 0..{n * m} for {n} x {m} matrices, "
+                         f"got {N}")
 
-    def __init__(self, rank):
-        super().__init__(rank)
-        self._tab = tableau_crystal(rank)
 
-    def weight(self, x):
-        return gtmod.beta(x)
-
-    def _lift(self, out):
-        return None if out is None else gtmod.tableau_to_gt(out, self.rank)
-
-    def e(self, i, x):
-        return self._lift(self._tab.e(i, gtmod.gt_to_tableau(x)))
-
-    def f(self, i, x):
-        return self._lift(self._tab.f(i, gtmod.gt_to_tableau(x)))
-
-    def canon(self, x):
-        return "/".join(",".join(str(v) for v in row) for row in x)
+def _tensor_model(rank: int, shapes: str):
+    """(crystal, elements) for the tensor product of the tableau crystals of
+    the semicolon-separated shapes, in lexicographic factor order."""
+    parts = [parse_partition(s) for s in shapes.split(";")]
+    crystal = tensor_crystal(*([tableau_crystal(rank)] * len(parts)))
+    pools = [enumerate_b_lambda(s, rank) for s in parts]
+    return crystal, list(product(*pools))
 
 
 def _selected_model(args):
@@ -71,25 +66,20 @@ def _selected_model(args):
         return tableau_crystal(args.rank), enumerate_b_lambda(shape, args.rank)
     if args.model == "gt":
         shape = parse_partition(args.shape)
-        crystal = _PatternCrystal(args.rank)
+        crystal = gtmod.pattern_crystal(args.rank)
         elements = sorted(gtmod.patterns_with_top(shape, args.rank),
                           key=crystal.canon)
         return crystal, elements
     if args.model == "matrix":
         if args.n is None or args.m is None or args.N is None:
             raise UsageError("matrix model needs --n, --m and --N")
+        _check_matrix_size(args.n, args.m, args.N)
         elements = list(bit_matrices(args.n, args.m, args.N))
         if args.structure == "row":
             return matrix_row_crystal(args.n, args.m), elements
         return matrix_col_crystal(args.n, args.m), elements
     if args.model == "tensor":
-        shapes = [parse_partition(s) for s in args.shapes.split(";")]
-        crystal = tensor_crystal(*([tableau_crystal(args.rank)] * len(shapes)))
-        pools = [enumerate_b_lambda(s, args.rank) for s in shapes]
-        elements = [()]
-        for pool in pools:
-            elements = [t + (x,) for t in elements for x in pool]
-        return crystal, elements
+        return _tensor_model(args.rank, args.shapes)
     raise UsageError(f"unknown model {args.model!r}")
 
 
@@ -132,20 +122,14 @@ def cmd_character(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    from .core import components
-    shapes = [parse_partition(s) for s in args.shapes.split(";")]
-    crystal = tensor_crystal(*([tableau_crystal(args.rank)] * len(shapes)))
-    pools = [enumerate_b_lambda(s, args.rank) for s in shapes]
-    elements = [()]
-    for pool in pools:
-        elements = [t + (x,) for t in elements for x in pool]
+    crystal, elements = _tensor_model(args.rank, args.shapes)
     comps = components(crystal, elements, crystal.nodes())
     rows = [{"highest_weight": list(crystal.weight(c.highest)),
              "size": len(c.elements)} for c in comps]
     if args.format == "json":
-        _emit(args, json.dumps({"factors": len(shapes), "rank": args.rank,
-                                "size": len(elements), "components": rows},
-                               indent=2))
+        _emit(args, json.dumps({"factors": len(crystal.factors),
+                                "rank": args.rank, "size": len(elements),
+                                "components": rows}, indent=2))
     else:
         lines = [f"{len(elements)} elements, {len(comps)} components"]
         lines += [f"  highest weight {tuple(r['highest_weight'])}: "
@@ -381,19 +365,15 @@ def cmd_verify(args) -> int:
     budget = args.budget
     if budget is None:
         budget = 500 if target == "all" else 10 ** 6
+    elif budget < 0:
+        raise UsageError(f"--budget must be non-negative, got {budget}")
     reports: list[tuple[str, Report]] = []
 
     def run_rows(rows):
         todo = [(label, thunk) for label, cost, thunk in rows
                 if cost <= budget or args.force]
-        skipped = len(rows) - len(todo)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(lambda item: item[1](), todo))
-            reports.extend((label, rep) for (label, _), rep in zip(todo, results))
-        else:
-            reports.extend((label, thunk()) for label, thunk in todo)
-        return skipped
+        reports.extend((label, thunk()) for label, thunk in todo)
+        return len(rows) - len(todo)
 
     def require_within_budget(rows):
         # an explicitly requested instance over budget is an error, not a
@@ -411,24 +391,21 @@ def cmd_verify(args) -> int:
                             for name, check in GOLDENS])
     elif target == "all":
         skipped = run_rows(_suite_rows(args))
-    elif target in ("agree", "corollary", "commute", "dual"):
+    elif target in ("agree", "corollary", "commute", "dual", "counting"):
         fn = {"agree": verify_agreement, "corollary": verify_corollary,
               "commute": verify_commutation,
-              "dual": verify_dual_implementation}[target]
+              "dual": verify_dual_implementation,
+              "counting": verify_counting}[target]
         if args.n is None or args.m is None:
             raise UsageError(f"verify {target} needs --n and --m")
+        _check_matrix_size(args.n, args.m, args.N)
+        guard = {} if target == "counting" else {"budget": budget,
+                                                 "force": args.force}
         ns = [args.N] if args.N is not None else range(0, args.n * args.m + 1)
         skipped = run_rows(require_within_budget([
             (f"{target} n={args.n} m={args.m} N={N}", comb(args.n * args.m, N),
-             lambda N=N: fn(args.n, args.m, N, budget=budget, force=args.force))
+             lambda N=N: fn(args.n, args.m, N, **guard))
             for N in ns]))
-    elif target == "counting":
-        if args.n is None or args.m is None:
-            raise UsageError("verify counting needs --n and --m")
-        ns = [args.N] if args.N is not None else range(0, args.n * args.m + 1)
-        skipped = run_rows(require_within_budget([
-            (f"counting n={args.n} m={args.m} N={N}", comb(args.n * args.m, N),
-             lambda N=N: verify_counting(args.n, args.m, N)) for N in ns]))
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")
@@ -541,7 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "elements; 0 keeps goldens only (default: 500 for "
                         "'all', 1000000 otherwise)")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
     return parser
 

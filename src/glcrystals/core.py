@@ -104,113 +104,15 @@ def _passed(name, instance, checked) -> Report:
     return Report(name, instance, checked, "pass")
 
 
-def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
-    """Connected component of b under the e/f edges coloured by `nodes`.
+def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
+    """One BFS from b over the e/f edges coloured by `nodes`.
 
-    Asserts exactly one highest-weight and one lowest-weight element; a
-    violation means the model is broken.  Components are memoized per node
-    tuple, so repeated involution queries inside cactus words stay cheap.
+    Records every edge it crosses, reads the extremal elements off the
+    recorded maps, memoizes the component for all of its elements and
+    returns (component, e_edge, f_edge) with e_edge[j][x] = e_j(x) and
+    f_edge[j][x] = f_j(x).  A component without exactly one highest-weight
+    and one lowest-weight element means the model is broken, and raises.
     """
-    nodes = tuple(nodes)
-    cache = crystal._component_cache.setdefault(nodes, {})
-    hit = cache.get(b)
-    if hit is not None:
-        return hit
-    seen = {b}
-    frontier = [b]
-    while frontier:
-        x = frontier.pop()
-        for j in nodes:
-            for y in (crystal.e(j, x), crystal.f(j, x)):
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    highs = [x for x in seen if all(crystal.e(j, x) is None for j in nodes)]
-    lows = [x for x in seen if all(crystal.f(j, x) is None for j in nodes)]
-    if len(highs) != 1 or len(lows) != 1:
-        raise ValueError(
-            f"component of {crystal.canon(b)} on nodes {nodes} has "
-            f"{len(highs)} highest / {len(lows)} lowest weight elements")
-    comp = Component(frozenset(seen), highs[0], lows[0])
-    for x in seen:
-        cache[x] = comp
-    return comp
-
-
-def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Component]:
-    """Partition a closed element set into connected components.
-
-    Raises if the set is not closed under the coloured edges (caller
-    precondition) and orders the result by canonical highest-element string.
-    """
-    nodes = tuple(nodes)
-    pool = set(elements)
-    out = []
-    for b in elements:
-        if b not in pool:
-            continue
-        comp = component(crystal, b, nodes)
-        if not comp.elements <= pool:
-            stray = next(iter(comp.elements - pool))
-            raise ValueError(
-                f"element set not closed under edges: reached {crystal.canon(stray)}")
-        pool -= comp.elements
-        out.append(comp)
-    out.sort(key=lambda c: crystal.canon(c.highest))
-    return out
-
-
-def to_highest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
-    """Greedy raising with smallest node first; returns (highest, path).
-
-    The recorded path lists the applied node indices in application order,
-    so lowering along the reversed path from the highest element returns b.
-    """
-    path = []
-    x = b
-    while True:
-        for j in nodes:
-            y = crystal.e(j, x)
-            if y is not None:
-                x = y
-                path.append(j)
-                break
-        else:
-            return x, tuple(path)
-
-
-def to_lowest(crystal: Crystal, b, nodes: tuple[int, ...]):
-    x = b
-    while True:
-        for j in nodes:
-            y = crystal.f(j, x)
-            if y is not None:
-                x = y
-                break
-        else:
-            return x
-
-
-def schuetzenberger(crystal: Crystal, b, nodes) -> object:
-    """Schutzenberger involution of the restriction to `nodes`, applied to b.
-
-    Computed per component by transport: the highest element maps to the
-    lowest, and the image propagates along every edge with the node index
-    twisted by the interval involution.  One sweep records the component's
-    edges, fills the involution for all its elements, and memoizes both,
-    which is what makes exhaustive verification sweeps affordable.  Path
-    independence against the directed single-path variant is a tested
-    property, not an assumption.
-
-    An empty node set gives the identity.
-    """
-    nodes = tuple(nodes)
-    if not nodes:
-        return b
-    table = crystal._xi_cache.setdefault(nodes, {})
-    hit = table.get(b)
-    if hit is not None:
-        return hit
     e_edge = {j: {} for j in nodes}
     f_edge = {j: {} for j in nodes}
     seen = {b}
@@ -237,9 +139,103 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
             f"component of {crystal.canon(b)} on nodes {nodes} has "
             f"{len(highs)} highest / {len(lows)} lowest weight elements")
     comp = Component(frozenset(seen), highs[0], lows[0])
-    comp_cache = crystal._component_cache.setdefault(nodes, {})
+    cache = crystal._component_cache.setdefault(nodes, {})
     for x in seen:
-        comp_cache.setdefault(x, comp)
+        cache[x] = comp
+    return comp, e_edge, f_edge
+
+
+def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
+    """Connected component of b under the e/f edges coloured by `nodes`.
+
+    Asserts exactly one highest-weight and one lowest-weight element; a
+    violation means the model is broken.  Components are memoized per node
+    tuple, shared with `schuetzenberger`, so repeated involution queries
+    inside cactus words stay cheap.
+    """
+    nodes = tuple(nodes)
+    hit = crystal._component_cache.get(nodes, {}).get(b)
+    if hit is not None:
+        return hit
+    return _walk(crystal, b, nodes)[0]
+
+
+def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Component]:
+    """Partition a closed element set into connected components.
+
+    Raises if the set is not closed under the coloured edges (caller
+    precondition) and orders the result by canonical highest-element string.
+    """
+    nodes = tuple(nodes)
+    pool = set(elements)
+    out = []
+    for b in elements:
+        if b not in pool:
+            continue
+        comp = component(crystal, b, nodes)
+        if not comp.elements <= pool:
+            stray = next(iter(comp.elements - pool))
+            raise ValueError(
+                f"element set not closed under edges: reached {crystal.canon(stray)}")
+        pool -= comp.elements
+        out.append(comp)
+    out.sort(key=lambda c: crystal.canon(c.highest))
+    return out
+
+
+def _greedy_path(step, b, nodes):
+    """Apply step(j, x) with the first node j in `nodes` order that gives a
+    result, until none does; returns (end element, applied node indices)."""
+    path = []
+    x = b
+    while True:
+        for j in nodes:
+            y = step(j, x)
+            if y is not None:
+                x = y
+                path.append(j)
+                break
+        else:
+            return x, tuple(path)
+
+
+def to_highest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
+    """Greedy raising, scanning `nodes` in the given order; returns
+    (highest, path).
+
+    The recorded path lists the applied node indices in application order,
+    so lowering along the reversed path from the highest element returns b.
+    """
+    return _greedy_path(crystal.e, b, nodes)
+
+
+def to_lowest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
+    """Greedy lowering twin of `to_highest_path`: returns (lowest, path),
+    and raising along the reversed path from the lowest element returns b."""
+    return _greedy_path(crystal.f, b, nodes)
+
+
+def schuetzenberger(crystal: Crystal, b, nodes) -> object:
+    """Schutzenberger involution of the restriction to `nodes`, applied to b.
+
+    Computed per component by transport: the highest element maps to the
+    lowest, and the image propagates along every edge with the node index
+    twisted by the interval involution.  One sweep records the component's
+    edges, fills the involution for all its elements, and memoizes both,
+    which is what makes exhaustive verification sweeps affordable.  Path
+    independence against the directed single-path variant is a tested
+    property, not an assumption.
+
+    An empty node set gives the identity.
+    """
+    nodes = tuple(nodes)
+    if not nodes:
+        return b
+    table = crystal._xi_cache.setdefault(nodes, {})
+    hit = table.get(b)
+    if hit is not None:
+        return hit
+    comp, e_edge, f_edge = _walk(crystal, b, nodes)
     xi = {comp.highest: comp.lowest}
     frontier = [comp.highest]
     try:
@@ -260,7 +256,7 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         raise ValueError(
             f"involution transport broke inside the component of "
             f"{crystal.canon(b)} on nodes {nodes}") from None
-    if len(xi) != len(seen):
+    if len(xi) != len(comp.elements):
         raise ValueError("involution transport missed part of a component")
     table.update(xi)
     return table[b]
@@ -276,20 +272,9 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
     nodes = tuple(nodes)
     if not nodes:
         return b
-    scan = nodes if order == "smallest" else tuple(reversed(nodes))
-    path = []
-    x = b
-    while True:
-        for j in scan:
-            y = crystal.e(j, x)
-            if y is not None:
-                x = y
-                path.append(j)
-                break
-        else:
-            break
-    comp = component(crystal, x, nodes)
-    y = comp.lowest
+    scan = nodes if order == "smallest" else nodes[::-1]
+    x, path = to_highest_path(crystal, b, scan)
+    y = component(crystal, x, nodes).lowest
     for j in reversed(path):
         y = crystal.e(theta_on_nodes(nodes, j), y)
         if y is None:

@@ -152,6 +152,3 @@ GOLDENS = [
     ("fundamental-reversal", golden_fundamental_reversal),
 ]
 
-
-def run_goldens() -> list[Report]:
-    return [check() for _, check in GOLDENS]

@@ -7,11 +7,12 @@ above.  Row j (of length j, counted from the bottom) is rows[n-j].
 """
 
 import json
+from functools import lru_cache
 from itertools import product
 
 from .base import DynkinInterval, Weight, partition
 from .cactus import CactusWord, inner_act
-from .core import Report
+from .core import Crystal, Report
 from .tableaux import Rows, ssyt, tableau_crystal
 
 Pattern = tuple[tuple[int, ...], ...]
@@ -138,6 +139,34 @@ def patterns_with_top(lam, n: int):
                     yield (upper,) + rest
 
     yield from rec(top)
+
+
+class PatternCrystal(Crystal):
+    """Patterns with operators conjugated through the tableau bijection."""
+
+    def __init__(self, rank: int):
+        super().__init__(rank)
+        self._tab = tableau_crystal(rank)
+
+    def weight(self, x) -> Weight:
+        return beta(x)
+
+    def _lift(self, out):
+        return None if out is None else tableau_to_gt(out, self.rank)
+
+    def e(self, i, x):
+        return self._lift(self._tab.e(i, gt_to_tableau(x)))
+
+    def f(self, i, x):
+        return self._lift(self._tab.f(i, gt_to_tableau(x)))
+
+    def canon(self, x) -> str:
+        return "/".join(",".join(str(v) for v in row) for row in x)
+
+
+@lru_cache(maxsize=None)
+def pattern_crystal(rank: int) -> PatternCrystal:
+    return PatternCrystal(rank)
 
 
 def check_cgp_homomorphism(lam, n: int) -> Report:

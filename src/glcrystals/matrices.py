@@ -109,14 +109,6 @@ def subsets(rank: int, weight: int):
         yield tuple(v)
 
 
-def fundamental_e(v, i: int):
-    return fundamental_crystal(len(v)).e(i, v)
-
-
-def fundamental_f(v, i: int):
-    return fundamental_crystal(len(v)).f(i, v)
-
-
 # ---------------------------------------------------------------------------
 # row/column tensor words
 

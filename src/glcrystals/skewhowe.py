@@ -13,7 +13,7 @@ from math import comb
 
 from .base import DynkinInterval, Partition, partition, transpose
 from .cactus import CactusWord, inner_act, outer_act
-from .core import Report, schuetzenberger
+from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, bit_matrices,
                        check_budget, col_structure, dims, matrix_col_crystal,
                        matrix_from_col_word, matrix_from_row_word,
@@ -24,44 +24,18 @@ from .tableaux import Rows, shape_of, ssyt
 # ---------------------------------------------------------------------------
 # extremal forms
 
-def _re_max_with_path(M: Matrix):
-    m = dims(M)[1]
-    path = []
-    while True:
-        for i in range(1, m):
-            up = Re(M, i)
-            if up is not None:
-                M = up
-                path.append(i)
-                break
-        else:
-            return M, tuple(path)
-
-
-def _cf_max_with_path(M: Matrix):
-    n = dims(M)[0]
-    path = []
-    while True:
-        for j in range(1, n):
-            dn = Cf(M, j)
-            if dn is not None:
-                M = dn
-                path.append(j)
-                break
-        else:
-            return M, tuple(path)
-
-
 def re_max(M: Matrix) -> Matrix:
     """Raise with the R operators, smallest index first, to the unique
     highest-weight matrix of the component."""
-    return _re_max_with_path(M)[0]
+    row = matrix_row_crystal(*dims(M))
+    return to_highest_path(row, M, row.nodes())[0]
 
 
 def cf_max(M: Matrix) -> Matrix:
     """Lower with the C operators, smallest index first, to the unique
     lowest-weight matrix of the component."""
-    return _cf_max_with_path(M)[0]
+    col = matrix_col_crystal(*dims(M))
+    return to_lowest_path(col, M, col.nodes())[0]
 
 
 def doubly_extreme_shape(L: Matrix) -> Partition:
@@ -206,8 +180,10 @@ def duality_inv(pair: DualityPair) -> Matrix:
     if shape_of(pair.t_p) != transpose(shape_of(pair.t_q)):
         raise ValueError("tableau shapes fail to be transpose")
     pmat, qmat = pair.p_matrix, pair.q_matrix
-    corner_from_p, c_path = _cf_max_with_path(pmat)
-    corner_from_q, r_path = _re_max_with_path(qmat)
+    col = matrix_col_crystal(*dims(pmat))
+    row = matrix_row_crystal(*dims(qmat))
+    corner_from_p, c_path = to_lowest_path(col, pmat, col.nodes())
+    corner_from_q, r_path = to_highest_path(row, qmat, row.nodes())
     if corner_from_p != corner_from_q:
         raise ValueError("P and Q do not meet at a common extreme matrix")
     M = pmat

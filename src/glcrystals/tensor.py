@@ -99,23 +99,6 @@ def tensor_crystal(*factors: Crystal) -> TensorCrystal:
     return TensorCrystal(tuple(factors))
 
 
-def tensor_eps_profile(crystal: TensorCrystal, t, i: int):
-    """(eps profile, phi profile) for an element, as plain lists."""
-    return crystal.profiles(i, t)
-
-
-def tensor_e(crystal: TensorCrystal, t, i: int):
-    return crystal.e(i, t)
-
-
-def tensor_f(crystal: TensorCrystal, t, i: int):
-    return crystal.f(i, t)
-
-
-def tensor_weight(crystal: TensorCrystal, t) -> Weight:
-    return crystal.weight(t)
-
-
 def element_to_json(crystal: Crystal, b) -> dict:
     """Model-tagged JSON for a (possibly nested tensor) element."""
     from .matrices import FundamentalCrystal

@@ -100,9 +100,12 @@ def test_verify_budget_zero_runs_goldens_only(capsys):
 
 def test_verify_jobs_output_is_deterministic(capsys):
     assert run(["verify", "all", "--budget", "20"]) == 0
-    sequential = capsys.readouterr().out
-    assert run(["verify", "all", "--budget", "20", "--jobs", "4"]) == 0
-    assert capsys.readouterr().out == sequential
+    first = capsys.readouterr().out
+    assert run(["verify", "all", "--budget", "20"]) == 0
+    assert capsys.readouterr().out == first
+    # instances run one after another; there is no --jobs option
+    assert run(["verify", "all", "--budget", "20", "--jobs", "4"]) == 2
+    capsys.readouterr()
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -124,6 +127,12 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(["gt", "--in", str(bad)]) == 2
     assert run(["verify", "agree"]) == 2  # missing --n/--m
+    # selectors that would enumerate nothing
+    assert run(["verify", "agree", "--n", "0", "--m", "3"]) == 2
+    assert run(["verify", "agree", "--n", "2", "--m", "2", "--N", "9"]) == 2
+    assert run(["verify", "counting", "--n", "2", "--m", "0"]) == 2
+    assert run(["verify", "counting", "--n", "2", "--m", "2", "--N", "-1"]) == 2
+    assert run(["verify", "all", "--budget", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -8,10 +8,11 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
                              kashiwara_reflection, schuetzenberger,
                              schuetzenberger_by_path, to_highest_path,
-                             verify_involution_properties)
+                             to_lowest_path, verify_involution_properties)
 from glcrystals.matrices import (Re, bit_matrices, fundamental_crystal,
                                  matrix_col_crystal, matrix_row_crystal)
-from glcrystals.tableaux import enumerate_b_lambda, ssyt, tableau_crystal
+from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
+                                 tableau_crystal)
 from glcrystals.tensor import tensor_crystal
 
 
@@ -98,11 +99,37 @@ def test_to_highest_path_one_step():
 def test_path_reconstruction_contract():
     crystal = tableau_crystal(3)
     for b in enumerate_b_lambda((2, 1, 0), 3):
-        hi, path = to_highest_path(crystal, b, (1, 2))
-        x = hi
-        for i in reversed(path):
-            x = crystal.f(i, x)
-        assert x == b
+        for to_end, back in ((to_highest_path, crystal.f),
+                             (to_lowest_path, crystal.e)):
+            x, path = to_end(crystal, b, (1, 2))
+            for i in reversed(path):
+                x = back(i, x)
+            assert x == b
+
+
+class _CountingTableaux(TableauCrystal):
+    """Tableau model that counts its operator calls."""
+    calls = 0
+
+    def e(self, i, b):
+        self.calls += 1
+        return super().e(i, b)
+
+    def f(self, i, b):
+        self.calls += 1
+        return super().f(i, b)
+
+
+def test_component_shares_the_involution_memo():
+    crystal = _CountingTableaux(3)  # fresh model, empty memo
+    b = ssyt([[1, 2], [3]], 3)
+    schuetzenberger(crystal, b, (1, 2))
+    walked = crystal.calls
+    comp = component(crystal, b, (1, 2))
+    assert len(comp.elements) == 8
+    for x in comp.elements:
+        assert component(crystal, x, (1, 2)) is comp
+    assert crystal.calls == walked  # served from the memo, no second walk
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from glcrystals.core import character, check_crystal_axioms, component
 from glcrystals.matrices import fundamental_crystal, subsets
 from glcrystals.tableaux import enumerate_b_lambda, highest_tableau, tableau_crystal
 from glcrystals.tensor import (element_from_json, element_to_json,
-                               tensor_crystal, tensor_eps_profile)
+                               tensor_crystal)
 
 
 def fundamentals(rank, weights):
@@ -32,7 +32,7 @@ def test_single_factor_profiles():
     crystal = tensor_crystal(fundamental_crystal(3))
     inner = fundamental_crystal(3)
     for v in subsets(3, 1):
-        eps_prof, phi_prof = tensor_eps_profile(crystal, (v,), 1)
+        eps_prof, phi_prof = crystal.profiles(1, (v,))
         assert eps_prof == [inner.eps(1, v)]
         assert phi_prof == [inner.phi(1, v)]
 
@@ -40,7 +40,7 @@ def test_single_factor_profiles():
 def test_two_factor_profile_golden():
     crystal = tensor_crystal(fundamental_crystal(2), fundamental_crystal(2))
     b = (1, 0)
-    eps_prof, phi_prof = tensor_eps_profile(crystal, (b, b), 1)
+    eps_prof, phi_prof = crystal.profiles(1, (b, b))
     assert eps_prof == [0, -1]
     assert phi_prof == [2, 1]
     assert crystal.eps(1, (b, b)) == 0
