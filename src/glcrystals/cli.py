@@ -369,11 +369,25 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--budget must be non-negative, got {budget}")
     reports: list[tuple[str, Report]] = []
 
+    def run_one(label, thunk):
+        # every input is validated before any instance runs, so a
+        # ValueError here comes from a broken model: a failure, not an error
+        try:
+            return thunk()
+        except ValueError as exc:
+            return Report(label, {}, 0, "fail", str(exc))
+
     def run_rows(rows):
         todo = [(label, thunk) for label, cost, thunk in rows
                 if cost <= budget or args.force]
-        reports.extend((label, thunk()) for label, thunk in todo)
+        reports.extend((label, run_one(label, thunk)) for label, thunk in todo)
         return len(rows) - len(todo)
+
+    def require_rank(rank):
+        # rank 1 has no nodes, so every element check would pass vacuously
+        if rank < 2:
+            raise UsageError(f"verify {target} needs rank at least 2, "
+                             f"got {rank}")
 
     def require_within_budget(rows):
         # an explicitly requested instance over budget is an error, not a
@@ -409,12 +423,16 @@ def cmd_verify(args) -> int:
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")
+        require_rank(args.rank)
         shape = parse_partition(args.shape)
+        if len(shape) > args.rank:
+            raise UsageError(f"shape {args.shape} has more than {args.rank} rows")
         skipped = run_rows([
             (f"bk rank={args.rank} shape={args.shape}", 1,
              lambda: check_cgp_homomorphism(shape, args.rank))])
     elif target in ("cactus", "braid", "xi", "axioms"):
         crystal, elements = _selected_model(args)
+        require_rank(crystal.rank)
         fn = {"cactus": verify_cactus_relations,
               "braid": verify_reduced_braid,
               "xi": verify_involution_properties,

@@ -107,8 +107,8 @@ def _passed(name, instance, checked) -> Report:
 def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     """One BFS from b over the e/f edges coloured by `nodes`.
 
-    Records every edge it crosses, reads the extremal elements off the
-    recorded maps, memoizes the component for all of its elements and
+    Records every edge it crosses and notes each element without an e or
+    an f edge as it goes, memoizes the component for all of its elements and
     returns (component, e_edge, f_edge) with e_edge[j][x] = e_j(x) and
     f_edge[j][x] = f_j(x).  A component without exactly one highest-weight
     and one lowest-weight element means the model is broken, and raises.
@@ -117,23 +117,30 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     f_edge = {j: {} for j in nodes}
     seen = {b}
     frontier = [b]
+    highs = []
+    lows = []
     while frontier:
         x = frontier.pop()
+        raised = lowered = False
         for j in nodes:
             y = crystal.e(j, x)
             if y is not None:
+                raised = True
                 e_edge[j][x] = y
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
             y = crystal.f(j, x)
             if y is not None:
+                lowered = True
                 f_edge[j][x] = y
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
-    highs = [x for x in seen if not any(x in e_edge[j] for j in nodes)]
-    lows = [x for x in seen if not any(x in f_edge[j] for j in nodes)]
+        if not raised:
+            highs.append(x)
+        if not lowered:
+            lows.append(x)
     if len(highs) != 1 or len(lows) != 1:
         raise ValueError(
             f"component of {crystal.canon(b)} on nodes {nodes} has "

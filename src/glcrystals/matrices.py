@@ -210,50 +210,83 @@ def _swap_in_col(M: Matrix, r: int, c: int, new_pair) -> Matrix:
     return M[:r] + (top, bot) + M[r + 2:]
 
 
+def _broken(op: str, index: int, M: Matrix, where: str):
+    flat = "".join(str(v) for row in M for v in row)
+    return ValueError(f"{op}_{index} found no movable one at its profile "
+                      f"maximum ({where}) in {flat}")
+
+
 def Re(M: Matrix, i: int):
     """Raising in the rank-m structure: act in the topmost row achieving
-    the positive profile maximum, moving its one from column i+1 to i."""
-    prof = row_eps_profile(M, i)
-    best = max(prof)
-    if best <= 0:
+    the positive maximum of `row_eps_profile`, moving its one from column
+    i+1 to i.  One top-down scan keeps the running sum and the argmax."""
+    best, at, acc = 0, -1, 0
+    for k, row in enumerate(M):
+        a, b = row[i - 1], row[i]
+        value = acc + (b > a)
+        if value > best:
+            best, at = value, k
+        acc += b - a
+    if at < 0:
         return None
-    k = prof.index(best)
-    assert (M[k][i - 1], M[k][i]) == (0, 1)
-    return _swap_in_row(M, k, i - 1, (1, 0))
+    if (M[at][i - 1], M[at][i]) != (0, 1):
+        raise _broken("Re", i, M, f"row {at + 1}")
+    return _swap_in_row(M, at, i - 1, (1, 0))
 
 
 def Rf(M: Matrix, i: int):
-    """Lowering in the rank-m structure: bottom-most row at the maximum."""
-    prof = row_phi_profile(M, i)
-    best = max(prof)
-    if best <= 0:
+    """Lowering in the rank-m structure: bottom-most row at the maximum of
+    `row_phi_profile`, found by one bottom-up scan."""
+    best, at, acc = 0, -1, 0
+    for k in range(len(M) - 1, -1, -1):
+        a, b = M[k][i - 1], M[k][i]
+        value = acc + (a > b)
+        if value > best:
+            best, at = value, k
+        acc += a - b
+    if at < 0:
         return None
-    k = len(prof) - 1 - prof[::-1].index(best)
-    assert (M[k][i - 1], M[k][i]) == (1, 0)
-    return _swap_in_row(M, k, i - 1, (0, 1))
+    if (M[at][i - 1], M[at][i]) != (1, 0):
+        raise _broken("Rf", i, M, f"row {at + 1}")
+    return _swap_in_row(M, at, i - 1, (0, 1))
 
 
 def Ce(M: Matrix, j: int):
     """Raising in the rank-n structure: act in the column closest to m
-    achieving the positive maximum, moving its one from row j+1 to j."""
-    prof = col_eps_profile(M, j)
-    best = max(prof)
-    if best <= 0:
+    achieving the positive maximum of `col_eps_profile`, moving its one
+    from row j+1 to j.  One right-to-left scan keeps the running sum and
+    the argmax."""
+    top, bot = M[j - 1], M[j]
+    best, at, acc = 0, -1, 0
+    for k in range(len(top) - 1, -1, -1):
+        a, b = top[k], bot[k]
+        value = acc + (b > a)
+        if value > best:
+            best, at = value, k
+        acc += b - a
+    if at < 0:
         return None
-    k = len(prof) - 1 - prof[::-1].index(best)
-    assert (M[j - 1][k], M[j][k]) == (0, 1)
-    return _swap_in_col(M, j - 1, k, (1, 0))
+    if (top[at], bot[at]) != (0, 1):
+        raise _broken("Ce", j, M, f"column {at + 1}")
+    return _swap_in_col(M, j - 1, at, (1, 0))
 
 
 def Cf(M: Matrix, j: int):
-    """Lowering in the rank-n structure: column closest to 1 at the maximum."""
-    prof = col_phi_profile(M, j)
-    best = max(prof)
-    if best <= 0:
+    """Lowering in the rank-n structure: column closest to 1 at the maximum
+    of `col_phi_profile`, found by one left-to-right scan."""
+    top, bot = M[j - 1], M[j]
+    best, at, acc = 0, -1, 0
+    for k in range(len(top)):
+        a, b = top[k], bot[k]
+        value = acc + (a > b)
+        if value > best:
+            best, at = value, k
+        acc += a - b
+    if at < 0:
         return None
-    k = prof.index(best)
-    assert (M[j - 1][k], M[j][k]) == (1, 0)
-    return _swap_in_col(M, j - 1, k, (0, 1))
+    if (top[at], bot[at]) != (1, 0):
+        raise _broken("Cf", j, M, f"column {at + 1}")
+    return _swap_in_col(M, j - 1, at, (0, 1))
 
 
 def Reps(M: Matrix, i: int) -> int:

@@ -7,12 +7,16 @@ largest entry.
 """
 
 import json
+from bisect import bisect_left
 from functools import lru_cache
 
 from .base import Partition, Weight, content, partition, ssyt_fillings
 from .core import Crystal
 
 Rows = tuple[tuple[int, ...], ...]
+
+# column marks of `signature`: the column holds i, i+1, or both
+_MINUS, _PLUS = 1, 2
 
 
 def ssyt(rows, rank: int | None = None) -> Rows:
@@ -50,24 +54,34 @@ def signature(rows: Rows, i: int):
     (eps, phi, e_col, f_col) where eps counts surviving "+", phi surviving
     "-", e_col is the 0-based column of the leftmost surviving "+" and
     f_col that of the rightmost surviving "-" (None when absent).
+
+    Rows weakly increase, so in each row the i's fill one run of columns
+    and the i+1's the next run; row r holds only entries >= r+1, so only
+    the first i+1 rows can hold either.  A column holding both reads "+-"
+    and cancels at once.
     """
-    stack: list[tuple[str, int]] = []
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        has_plus = any(c < len(row) and row[c] == i + 1 for row in rows)
-        has_minus = any(c < len(row) and row[c] == i for row in rows)
-        if has_plus:
-            stack.append(("+", c))
-        if has_minus:
-            if stack and stack[-1][0] == "+":
-                stack.pop()
+    marks = [0] * len(rows[0]) if rows else []
+    for row in rows[:i + 1]:
+        lo = bisect_left(row, i)
+        mid = bisect_left(row, i + 1, lo)
+        hi = bisect_left(row, i + 2, mid)
+        for c in range(lo, mid):
+            marks[c] |= _MINUS
+        for c in range(mid, hi):
+            marks[c] |= _PLUS
+    pluses: list[int] = []  # columns of the "+" not yet cancelled
+    phi = 0
+    f_col = None
+    for c, mark in enumerate(marks):
+        if mark == _PLUS:
+            pluses.append(c)
+        elif mark == _MINUS:
+            if pluses:
+                pluses.pop()
             else:
-                stack.append(("-", c))
-    pluses = [c for s, c in stack if s == "+"]
-    minuses = [c for s, c in stack if s == "-"]
-    return (len(pluses), len(minuses),
-            pluses[0] if pluses else None,
-            minuses[-1] if minuses else None)
+                phi += 1
+                f_col = c
+    return len(pluses), phi, (pluses[0] if pluses else None), f_col
 
 
 def _replace(rows: Rows, col: int, old: int, new: int) -> Rows:

@@ -31,42 +31,44 @@ class TensorCrystal(Crystal):
                 total[k] += v
         return tuple(total)
 
-    def profiles(self, i: int, t):
-        """Per-position raising and lowering counts.
-
-        Position k carries eps_i of its factor, discounted by the coroot
-        pairing of the weight to its left; dually phi_i is boosted by the
-        pairing of the weight to its right.  The overall eps/phi are the
-        maxima of the profiles floored at zero; e acts at the smallest
-        position achieving the eps maximum, f at the largest achieving the
-        phi maximum.
-        """
-        m = len(self.factors)
-        pair = [pairing(model.weight(b), i)
-                for model, b in zip(self.factors, t)]
-        eps_prof = []
-        phi_prof = []
+    def _eps_profile(self, i: int, t) -> list[int]:
+        """Per-position raising counts: position k carries eps_i of its
+        factor, discounted by the coroot pairing of the weight to its
+        left."""
+        prof = []
         left = 0
-        for k in range(m):
-            eps_prof.append(self.factors[k].eps(i, t[k]) - left)
-            left += pair[k]
+        for model, b in zip(self.factors, t):
+            prof.append(model.eps(i, b) - left)
+            left += pairing(model.weight(b), i)
+        return prof
+
+    def _phi_profile(self, i: int, t) -> list[int]:
+        """Per-position lowering counts: position k carries phi_i of its
+        factor, boosted by the coroot pairing of the weight to its right."""
+        prof = []
         right = 0
-        for k in range(m - 1, -1, -1):
-            phi_prof.append(self.factors[k].phi(i, t[k]) + right)
-            right += pair[k]
-        phi_prof.reverse()
-        return eps_prof, phi_prof
+        for model, b in zip(reversed(self.factors), reversed(t)):
+            prof.append(model.phi(i, b) + right)
+            right += pairing(model.weight(b), i)
+        prof.reverse()
+        return prof
+
+    def profiles(self, i: int, t):
+        """Both profiles.  The overall eps/phi are their maxima floored at
+        zero; e acts at the smallest position achieving the eps maximum, f
+        at the largest achieving the phi maximum.  Each operator builds
+        only the side it reads.
+        """
+        return self._eps_profile(i, t), self._phi_profile(i, t)
 
     def eps(self, i, t):
-        prof, _ = self.profiles(i, t)
-        return max(0, max(prof))
+        return max(0, max(self._eps_profile(i, t)))
 
     def phi(self, i, t):
-        _, prof = self.profiles(i, t)
-        return max(0, max(prof))
+        return max(0, max(self._phi_profile(i, t)))
 
     def e(self, i, t):
-        prof, _ = self.profiles(i, t)
+        prof = self._eps_profile(i, t)
         best = max(prof)
         if best <= 0:
             return None
@@ -77,7 +79,7 @@ class TensorCrystal(Crystal):
         return t[:s] + (x,) + t[s + 1:]
 
     def f(self, i, t):
-        _, prof = self.profiles(i, t)
+        prof = self._phi_profile(i, t)
         best = max(prof)
         if best <= 0:
             return None

@@ -133,7 +133,40 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["verify", "counting", "--n", "2", "--m", "0"]) == 2
     assert run(["verify", "counting", "--n", "2", "--m", "2", "--N", "-1"]) == 2
     assert run(["verify", "all", "--budget", "-1"]) == 2
+    # rank 1 has no nodes, so these would check nothing
+    assert run(["verify", "bk", "--rank", "1", "--shape", "2"]) == 2
+    for target in ("braid", "cactus", "xi", "axioms"):
+        assert run(["verify", target, "--model", "tableau", "--rank", "1",
+                    "--shape", "2"]) == 2
+    assert run(["verify", "xi", "--model", "gt", "--rank", "1",
+                "--shape", "2"]) == 2
+    assert run(["verify", "cactus", "--model", "tensor", "--rank", "1",
+                "--shapes", "1;1"]) == 2
+    assert run(["verify", "braid", "--model", "matrix", "--n", "1",
+                "--m", "3", "--N", "1", "--structure", "column"]) == 2
+    # a shape with more rows than the rank is bad input, not a failure
+    assert run(["verify", "bk", "--rank", "2", "--shape", "1,1,1"]) == 2
     capsys.readouterr()
+
+
+def test_broken_model_is_a_failure_not_an_error(capsys, monkeypatch):
+    import glcrystals.cli as cli
+    from glcrystals.tableaux import TableauCrystal
+
+    class DeadRaising(TableauCrystal):
+        """Every e_i vanishes, so each component has many highest
+        elements and the component walk raises."""
+
+        def e(self, i, b):
+            return None
+
+    monkeypatch.setattr(cli, "tableau_crystal", DeadRaising)
+    assert run(["verify", "xi", "--model", "tableau", "--rank", "3",
+                "--shape", "2,1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL xi tableau (checked=0)  witness: component of" in out
+    assert "highest" in out
+    assert "0/1 passed" in out
 
 
 def test_explicit_instance_over_budget_is_an_error(capsys):

@@ -73,11 +73,32 @@ class _TwoHeaded(Crystal):
         return 1 if b == 0 else None
 
 
+class _TwoFooted(Crystal):
+    """Broken on purpose: one raising edge but no matching lowering edge,
+    leaving the component with two lowest-weight elements."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def weight(self, b):
+        return (1 - b, b)
+
+    def e(self, i, b):
+        return 0 if b == 1 else None
+
+    def f(self, i, b):
+        return None
+
+
 def test_component_flags_broken_model():
     with pytest.raises(ValueError, match="highest"):
         component(_TwoHeaded(), 0, (1,))
     with pytest.raises(ValueError, match="highest"):
         schuetzenberger(_TwoHeaded(), 0, (1,))
+    with pytest.raises(ValueError, match="1 highest / 2 lowest"):
+        component(_TwoFooted(), 1, (1,))
+    with pytest.raises(ValueError, match="1 highest / 2 lowest"):
+        schuetzenberger(_TwoFooted(), 1, (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from glcrystals.goldens import MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2
 from glcrystals.matrices import (Ce, Ce_tensor, Ceps, Cf, Cf_tensor, Cphi, Re,
                                  Re_tensor, Reps, Rf, Rf_tensor, Rphi,
                                  bit_matrices, bit_matrix, check_budget,
+                                 col_eps_profile, col_phi_profile,
                                  col_structure, col_weight, dims, from_json,
                                  from_text, fundamental_crystal,
                                  matrix_col_crystal, matrix_from_col_word,
                                  matrix_from_row_word, matrix_row_crystal,
+                                 row_eps_profile, row_phi_profile,
                                  row_structure, row_weight, subsets, to_json,
                                  to_text, verify_commutation,
                                  verify_dual_implementation)
@@ -77,6 +79,53 @@ def test_re_null_when_no_pattern():
 def test_weights():
     assert row_weight(MATRIX_A) == (2, 2, 3, 1, 1)
     assert col_weight(MATRIX_A) == (3, 2, 4)
+
+
+def moved(M, cells):
+    """M with each (row, column, value) of `cells` written in."""
+    out = [list(row) for row in M]
+    for r, c, v in cells:
+        out[r][c] = v
+    return tuple(tuple(row) for row in out)
+
+
+def test_operators_act_at_the_profile_argmax():
+    # Re: topmost row at the maximum; Rf: bottom-most; Ce: the column
+    # closest to m; Cf: the column closest to 1
+    cases = 0
+    for n, m in all_small_dims(9):
+        for N in range(n * m + 1):
+            for M in bit_matrices(n, m, N):
+                for i in range(1, m):
+                    cases += 2
+                    prof = row_eps_profile(M, i)
+                    k = prof.index(max(prof))
+                    assert Re(M, i) == (None if prof[k] <= 0 else
+                                        moved(M, ((k, i - 1, 1), (k, i, 0))))
+                    prof = row_phi_profile(M, i)
+                    k = len(prof) - 1 - prof[::-1].index(max(prof))
+                    assert Rf(M, i) == (None if prof[k] <= 0 else
+                                        moved(M, ((k, i - 1, 0), (k, i, 1))))
+                for j in range(1, n):
+                    cases += 2
+                    prof = col_eps_profile(M, j)
+                    k = len(prof) - 1 - prof[::-1].index(max(prof))
+                    assert Ce(M, j) == (None if prof[k] <= 0 else
+                                        moved(M, ((j - 1, k, 1), (j, k, 0))))
+                    prof = col_phi_profile(M, j)
+                    k = prof.index(max(prof))
+                    assert Cf(M, j) == (None if prof[k] <= 0 else
+                                        moved(M, ((j - 1, k, 0), (j, k, 1))))
+    assert cases > 10 ** 4
+
+
+def test_operators_raise_on_an_unmovable_maximum():
+    # entries outside 0/1 put the profile maximum where no one can move;
+    # the check is a raise, so it holds under python -O too
+    for op, M in ((Re, ((0, 2),)), (Rf, ((2, 0),)),
+                  (Ce, ((0,), (2,))), (Cf, ((2,), (0,)))):
+        with pytest.raises(ValueError, match="no movable one"):
+            op(M, 1)
 
 
 def test_dual_implementation_84():

@@ -43,6 +43,39 @@ def test_signature_highest_weight():
             assert signature(top, i)[0] == 0
 
 
+def column_scan_signature(rows, i):
+    """Oracle: the plain column scan, testing every row of every column
+    for i and i+1 and bracketing on a stack."""
+    stack = []
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        has_plus = any(c < len(row) and row[c] == i + 1 for row in rows)
+        has_minus = any(c < len(row) and row[c] == i for row in rows)
+        if has_plus:
+            stack.append(("+", c))
+        if has_minus:
+            if stack and stack[-1][0] == "+":
+                stack.pop()
+            else:
+                stack.append(("-", c))
+    pluses = [c for s, c in stack if s == "+"]
+    minuses = [c for s, c in stack if s == "-"]
+    return (len(pluses), len(minuses),
+            pluses[0] if pluses else None,
+            minuses[-1] if minuses else None)
+
+
+def test_signature_matches_column_scan_oracle():
+    cases = 0
+    for rank in (2, 3, 4, 5):
+        for shape in small_shapes(rank, 7):
+            for b in ssyt_fillings(shape, rank):
+                for i in range(1, rank):
+                    cases += 1
+                    assert signature(b, i) == column_scan_signature(b, i), (b, i)
+    assert cases > 10 ** 4
+
+
 def test_eps_matches_iteration():
     crystal = tableau_crystal(3)
     for b in enumerate_b_lambda((2, 1), 3):

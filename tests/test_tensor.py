@@ -47,6 +47,30 @@ def test_two_factor_profile_golden():
     assert crystal.phi(1, (b, b)) == 2
 
 
+def test_operators_agree_with_both_profiles():
+    # mixed tableau and 0/1-vector factors: each operator builds only its
+    # own side, and must read it as the two-sided profiles do
+    tab, vec = tableau_crystal(3), fundamental_crystal(3)
+    pools = {tab: enumerate_b_lambda((2, 1), 3),
+             vec: [v for w in range(4) for v in subsets(3, w)]}
+    for models in ((tab, vec), (vec, tab, vec), (tab, tab)):
+        crystal = tensor_crystal(*models)
+        for t in product(*(pools[model] for model in models)):
+            for i in (1, 2):
+                eps_prof, phi_prof = crystal.profiles(i, t)
+                assert crystal.eps(i, t) == max(0, max(eps_prof))
+                assert crystal.phi(i, t) == max(0, max(phi_prof))
+                up = down = None
+                if max(eps_prof) > 0:
+                    s = eps_prof.index(max(eps_prof))
+                    up = t[:s] + (models[s].e(i, t[s]),) + t[s + 1:]
+                if max(phi_prof) > 0:
+                    s = len(t) - 1 - phi_prof[::-1].index(max(phi_prof))
+                    down = t[:s] + (models[s].f(i, t[s]),) + t[s + 1:]
+                assert crystal.e(i, t) == up
+                assert crystal.f(i, t) == down
+
+
 def test_lowering_acts_on_first_factor_here():
     # phi profile (2, 1): the largest position at the maximum is the first
     crystal = tensor_crystal(fundamental_crystal(2), fundamental_crystal(2))
