@@ -27,8 +27,8 @@ class Crystal:
     def __init__(self, rank: int):
         self.rank = rank
         # memo caches, keyed by node tuple; values map element -> result.
-        # Dict mutation is atomic in CPython, so concurrent readers are safe;
-        # at worst two workers recompute the same pure value.
+        # Entries are pure values filled once per component and never
+        # invalidated.
         self._xi_cache: dict = {}
         self._component_cache: dict = {}
 
@@ -155,15 +155,17 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
 def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
     """Connected component of b under the e/f edges coloured by `nodes`.
 
-    Asserts exactly one highest-weight and one lowest-weight element; a
-    violation means the model is broken.  Components are memoized per node
-    tuple, shared with `schuetzenberger`, so repeated involution queries
-    inside cactus words stay cheap.
+    Raises ValueError unless there is exactly one highest-weight and one
+    lowest-weight element; a violation means the model is broken.
+    Components are memoized per node tuple, shared with `schuetzenberger`,
+    so repeated involution queries inside cactus words stay cheap.
     """
     nodes = tuple(nodes)
-    hit = crystal._component_cache.get(nodes, {}).get(b)
-    if hit is not None:
-        return hit
+    table = crystal._component_cache.get(nodes)
+    if table is not None:
+        hit = table.get(b)
+        if hit is not None:
+            return hit
     return _walk(crystal, b, nodes)[0]
 
 
@@ -238,10 +240,11 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
     nodes = tuple(nodes)
     if not nodes:
         return b
-    table = crystal._xi_cache.setdefault(nodes, {})
-    hit = table.get(b)
-    if hit is not None:
-        return hit
+    table = crystal._xi_cache.get(nodes)
+    if table is not None:
+        hit = table.get(b)
+        if hit is not None:
+            return hit
     comp, e_edge, f_edge = _walk(crystal, b, nodes)
     xi = {comp.highest: comp.lowest}
     frontier = [comp.highest]
@@ -265,6 +268,8 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
             f"{crystal.canon(b)} on nodes {nodes}") from None
     if len(xi) != len(comp.elements):
         raise ValueError("involution transport missed part of a component")
+    if table is None:
+        table = crystal._xi_cache[nodes] = {}
     table.update(xi)
     return table[b]
 

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .base import DynkinInterval, Partition, partition, transpose
-from .cactus import CactusWord, inner_act, outer_act
+from .cactus import CactusWord, inner_act
 from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, bit_matrices,
-                       check_budget, col_structure, dims, matrix_col_crystal,
-                       matrix_from_col_word, matrix_from_row_word,
-                       matrix_row_crystal, row_structure)
+                       check_budget, dims, matrix_col_crystal,
+                       matrix_row_crystal)
 from .tableaux import Rows, shape_of, ssyt
 
 
@@ -202,20 +201,48 @@ def duality_inv(pair: DualityPair) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# outer-action wrappers for matrices
+# outer actions on matrices
+
+# The row word is a tensor power of the fundamental crystal of 0/1 vectors,
+# whose full involution is reversal: the weight of a 0/1 vector determines
+# it.  So the block step of the generic outer action in `cactus` (flip the
+# factor block, apply xi to each factor) is a half turn of the sub-matrix
+# the block spans, and the block tensor crystal is that sub-matrix's own
+# row (or column) structure, where the closed-form operators act.
 
 def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
-    """Outer action on the row word (rank = number of rows)."""
-    crystal, t = row_structure(M)
-    _, out = outer_act(w, crystal, t)
-    return matrix_from_row_word(out)
+    """Outer action on the row word (rank = number of rows).
+
+    Each generator s[p,q] turns rows p..q by half a turn and applies the
+    full involution of the row structure of that sub-matrix (Re/Rf)."""
+    n, m = dims(M)
+    if w.rank != n:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
+    nodes = tuple(range(1, m))
+    for g in w.generators:
+        p, q = g.p, g.q
+        block = tuple(row[::-1] for row in reversed(M[p - 1:q]))
+        block = schuetzenberger(matrix_row_crystal(q - p + 1, m), block, nodes)
+        M = M[:p - 1] + block + M[q:]
+    return M
 
 
 def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
-    """Outer action on the reversed column word (rank = number of columns)."""
-    crystal, t = col_structure(M)
-    _, out = outer_act(w, crystal, t)
-    return matrix_from_col_word(out)
+    """Outer action on the reversed column word (rank = number of columns).
+
+    Word positions p..q are the matrix columns m-q..m-p (0-based); each
+    generator turns those columns by half a turn and applies the full
+    involution of the column structure of that sub-matrix (Ce/Cf)."""
+    n, m = dims(M)
+    if w.rank != m:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
+    nodes = tuple(range(1, n))
+    for g in w.generators:
+        lo, hi = m - g.q, m - g.p + 1
+        block = tuple(row[lo:hi][::-1] for row in reversed(M))
+        block = schuetzenberger(matrix_col_crystal(n, hi - lo), block, nodes)
+        M = tuple(row[:lo] + new + row[hi:] for row, new in zip(M, block))
+    return M
 
 
 def inner_on_rows(M: Matrix, w: CactusWord) -> Matrix:

@@ -8,8 +8,10 @@ from glcrystals.cactus import (CactusWord, inner_act, outer_act, parse_word,
 from glcrystals.core import is_morphism, schuetzenberger
 from glcrystals.goldens import MATRIX_A, MATRIX_A_S12
 from glcrystals.matrices import (Ce, Cf, bit_matrices, bit_matrix,
-                                 fundamental_crystal, matrix_col_crystal,
-                                 matrix_row_crystal)
+                                 col_structure, fundamental_crystal,
+                                 matrix_col_crystal, matrix_from_col_word,
+                                 matrix_from_row_word, matrix_row_crystal,
+                                 row_structure)
 from glcrystals.skewhowe import (inner_on_cols, inner_on_rows, outer_on_cols,
                                  outer_on_rows)
 from glcrystals.tableaux import enumerate_b_lambda, tableau_crystal
@@ -132,6 +134,32 @@ def test_outer_generator_is_involution_on_matrices():
                 for q in range(p + 1, n + 1):
                     w = word(n, (p, q))
                     assert outer_on_rows(outer_on_rows(M, w), w) == M
+
+
+def test_matrix_outer_actions_match_the_generic_tensor_route():
+    # outer_on_rows/cols act on the block through Re/Rf (Ce/Cf); the
+    # generic outer_act on the row (column) word is their oracle
+    sides = ((outer_on_rows, row_structure, matrix_from_row_word, 0),
+             (outer_on_cols, col_structure, matrix_from_col_word, 1))
+    for n, m in all_small_dims(8):
+        matrices = all_matrices(n, m)
+        for act, structure, back, axis in sides:
+            k = (n, m)[axis]
+            gens = [(p, q) for p in range(1, k) for q in range(p + 1, k + 1)]
+            words = [word(k, g) for g in gens]
+            if gens:
+                words.append(word(k, gens[-1], gens[0], gens[len(gens) // 2]))
+            for M in matrices:
+                for w in words:
+                    expect = back(outer_act(w, *structure(M))[1])
+                    assert act(M, w) == expect, (M, str(w))
+            for rank in {k - 1, k + 1} - {0, 1}:
+                wrong = word(rank, (1, 2))
+                with pytest.raises(ValueError) as generic:
+                    outer_act(wrong, *structure(matrices[0]))
+                with pytest.raises(ValueError) as direct:
+                    act(matrices[0], wrong)
+                assert str(direct.value) == str(generic.value)
 
 
 def test_outer_rank_mismatch():

@@ -4,20 +4,21 @@ from itertools import product
 import pytest
 
 from glcrystals.base import schur_bruteforce
+from glcrystals.cactus import xi_full
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
                              kashiwara_reflection, schuetzenberger,
                              schuetzenberger_by_path, to_highest_path,
                              to_lowest_path, verify_involution_properties)
 from glcrystals.matrices import (Re, bit_matrices, fundamental_crystal,
-                                 matrix_col_crystal, matrix_row_crystal)
+                                 matrix_col_crystal, matrix_row_crystal,
+                                 subsets)
 from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
                                  tableau_crystal)
 from glcrystals.tensor import tensor_crystal
 
 
 def tensor_of_fundamentals(rank, weights):
-    from glcrystals.matrices import subsets
     crystal = tensor_crystal(*[fundamental_crystal(rank) for _ in weights])
     pools = [list(subsets(rank, w)) for w in weights]
     return crystal, [tuple(t) for t in product(*pools)]
@@ -97,8 +98,10 @@ def test_component_flags_broken_model():
         schuetzenberger(_TwoHeaded(), 0, (1,))
     with pytest.raises(ValueError, match="1 highest / 2 lowest"):
         component(_TwoFooted(), 1, (1,))
+    broken = _TwoFooted()
     with pytest.raises(ValueError, match="1 highest / 2 lowest"):
-        schuetzenberger(_TwoFooted(), 1, (1,))
+        schuetzenberger(broken, 1, (1,))
+    assert broken._xi_cache == {}  # no table is made for a failed walk
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +156,40 @@ def test_component_shares_the_involution_memo():
     assert crystal.calls == walked  # served from the memo, no second walk
 
 
+def test_memo_hits_call_no_operator_and_add_no_table():
+    crystal = _CountingTableaux(3)  # fresh model, empty memo
+    nodes = (1, 2)
+    schuetzenberger(crystal, ssyt([[1, 2], [3]], 3), nodes)
+    walked = crystal.calls
+
+    def tables():
+        return {name: {key: set(table) for key, table in cache.items()}
+                for name, cache in (("xi", crystal._xi_cache),
+                                    ("component", crystal._component_cache))}
+
+    before = tables()
+    assert before["xi"].keys() == before["component"].keys() == {nodes}
+    for x in before["xi"][nodes]:
+        schuetzenberger(crystal, x, nodes)
+        component(crystal, x, nodes)
+    assert crystal.calls == walked
+    assert tables() == before
+
+
 # ---------------------------------------------------------------------------
 # the involution
 
 def test_xi_fundamental_is_reversal():
     crystal = fundamental_crystal(5)
     assert schuetzenberger(crystal, (1, 1, 0, 0, 0), (1, 2, 3, 4)) == (0, 0, 0, 1, 1)
+    # the weight of a 0/1 vector determines it, so the full involution,
+    # which reverses the weight, reverses the vector; the matrix outer
+    # actions rely on this
+    for rank in range(1, 8):
+        crystal = fundamental_crystal(rank)
+        for ones in range(rank + 1):
+            for v in subsets(rank, ones):
+                assert xi_full(crystal, v) == v[::-1]
 
 
 def test_xi_swaps_extremes():
