@@ -29,8 +29,8 @@ from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
                        rotate90, verify_agreement, verify_corollary,
                        verify_counting)
 from .tableaux import (TableauCrystal, apply_e, apply_f, enumerate_b_lambda,
-                       highest_tableau, signature, ssyt, tableau_crystal,
-                       weight_of)
+                       evacuate, highest_tableau, signature, ssyt,
+                       tableau_crystal, verify_local_involution, weight_of)
 from .tensor import TensorCrystal, tensor_crystal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -55,11 +55,13 @@ def parse_word(text: str, rank: int) -> CactusWord:
 
 
 def inner_act(w: CactusWord, crystal: Crystal, b):
-    """Apply each generator as the partial Schutzenberger involution."""
+    """Apply each generator as the partial Schutzenberger involution, by the
+    model's `interval_involution` (evacuation on tableaux, edge transport
+    otherwise)."""
     if w.rank != crystal.rank:
         raise ValueError(f"word rank {w.rank} != crystal rank {crystal.rank}")
     for g in w.generators:
-        b = schuetzenberger(crystal, b, g.nodes)
+        b = crystal.interval_involution(b, g.nodes)
     return b
 
 
@@ -105,6 +107,9 @@ def weyl_image(w: CactusWord) -> Permutation:
 # relation verifiers
 
 def _act_word(gens, crystal, b):
+    """Act by edge transport on purpose, not through `inner_act`: the
+    relations are then checked on an involution computed independently of
+    any local formula the model overrides `interval_involution` with."""
     for g in gens:
         b = schuetzenberger(crystal, b, g.nodes)
     return b

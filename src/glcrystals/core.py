@@ -63,6 +63,12 @@ class Crystal:
     def nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.rank))
 
+    def interval_involution(self, b, nodes):
+        """Schutzenberger involution of the restriction to `nodes`, as the
+        cactus actions compute it.  Models with a local formula override
+        this; the default transports along the component's edges."""
+        return schuetzenberger(self, b, nodes)
+
     def canon(self, b) -> str:
         """Canonical element string; deterministic, used for DOT ids and
         report witnesses."""

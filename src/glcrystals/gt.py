@@ -10,9 +10,8 @@ import json
 from functools import lru_cache
 from itertools import product
 
-from .base import DynkinInterval, Weight, partition
-from .cactus import CactusWord, inner_act
-from .core import Crystal, Report
+from .base import Weight, partition
+from .core import Crystal, Report, schuetzenberger
 from .tableaux import Rows, ssyt, tableau_crystal
 
 Pattern = tuple[tuple[int, ...], ...]
@@ -173,6 +172,9 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
     """Pointwise check, on all patterns with top row lam, that the interval
     generator for nodes {i, ..., j-1} acts (through the tableau bijection)
     exactly as the composite q_{j-1} q_{j-i} q_{j-1} of pattern toggles.
+
+    The generator is computed by edge transport, not by the tableau model's
+    evacuation, so the toggles are checked against an independent route.
     """
     lam = partition(lam)
     instance = {"lam": list(lam), "n": n}
@@ -181,11 +183,11 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
     checked = 0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            word = CactusWord(n, (DynkinInterval(i, j, n),))
+            nodes = tuple(range(i, j))
             for x in pool:
                 checked += 1
                 via_crystal = tableau_to_gt(
-                    inner_act(word, model, gt_to_tableau(x)), n)
+                    schuetzenberger(model, gt_to_tableau(x), nodes), n)
                 via_moves = x
                 for q_index in (j - 1, j - i, j - 1):
                     via_moves = bk_q(via_moves, q_index)

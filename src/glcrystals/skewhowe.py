@@ -11,7 +11,8 @@ bottom-up prefix column sums.
 from dataclasses import dataclass
 from math import comb
 
-from .base import DynkinInterval, Partition, partition, transpose
+from .base import (DynkinInterval, Partition, partition, partitions_in_box,
+                   ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
 from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, bit_matrices,
@@ -173,8 +174,8 @@ def duality_inv(pair: DualityPair) -> Matrix:
 
     Lower P to the doubly extreme matrix recording the applied C indices,
     raise Q to the same matrix recording the applied R indices, then undo
-    the recorded R path on P (equivalently the recorded C path on Q; both
-    reconstructions are asserted equal).
+    the recorded R path on P and the recorded C path on Q.  The two
+    reconstructions are compared, and a mismatch raises ValueError.
     """
     if shape_of(pair.t_p) != transpose(shape_of(pair.t_q)):
         raise ValueError("tableau shapes fail to be transpose")
@@ -337,7 +338,6 @@ def verify_counting(n: int, m: int, N: int) -> Report:
     """Sum over shapes in the n x m box with N boxes of (number of rank-n
     tableaux) times (number of rank-m tableaux of the transpose shape)
     equals the number of matrices."""
-    from .base import partitions_in_box, ssyt_fillings
     instance = {"n": n, "m": m, "N": N}
     total = 0
     for lam in partitions_in_box(n, m, N):

@@ -7,11 +7,12 @@ largest entry.
 """
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .base import Partition, Weight, content, partition, ssyt_fillings
-from .core import Crystal
+from .base import (Partition, Weight, content, intervals, partition,
+                   ssyt_fillings)
+from .core import Crystal, Report, schuetzenberger
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -108,6 +109,41 @@ def apply_f(rows: Rows, i: int) -> Rows | None:
     return _replace(rows, f_col, i, i + 1)
 
 
+def evacuate(rows: Rows, r: int) -> Rows:
+    """Schutzenberger evacuation of the sub-tableau of entries at most r;
+    larger entries stay in place.
+
+    The entries at most r fill a straight shape.  Until it is empty: remove
+    its (1,1) entry a, slide the hole out by jeu de taquin (the smaller of
+    the entries right and below moves in, the one below on a tie, which
+    keeps columns strict), shrink the shape by the outer corner the hole
+    reaches and write r+1-a there.  The written boxes are the evacuated
+    tableau.
+    """
+    grid = [list(row) for row in rows]
+    # lengths[i] = boxes of row i still in the shrinking straight shape
+    lengths = [bisect_right(row, r) for row in rows]
+    depth = len(lengths)
+    while lengths and lengths[0]:
+        a = grid[0][0]
+        i = j = 0
+        while True:
+            right = grid[i][j + 1] if j + 1 < lengths[i] else None
+            below = (grid[i + 1][j]
+                     if i + 1 < depth and j < lengths[i + 1] else None)
+            if below is not None and (right is None or below <= right):
+                grid[i][j] = below
+                i += 1
+            elif right is not None:
+                grid[i][j] = right
+                j += 1
+            else:
+                break
+        lengths[i] -= 1
+        grid[i][j] = r + 1 - a
+    return tuple(tuple(row) for row in grid)
+
+
 def highest_tableau(shape) -> Rows:
     """Row r filled with the entry r."""
     return tuple(tuple([r + 1] * w) for r, w in enumerate(partition(shape)))
@@ -138,6 +174,21 @@ class TableauCrystal(Crystal):
     def phi(self, i, b):
         self._check(i)
         return signature(b, i)[1]
+
+    def interval_involution(self, b, nodes):
+        """Local route: s[1,q] is the evacuation of the entries at most q,
+        and s[p,q] = s[1,q] s[1,q-p+1] s[1,q]."""
+        nodes = tuple(nodes)
+        if not nodes:
+            return b
+        p, q = nodes[0], nodes[-1] + 1
+        if nodes != tuple(range(p, q)):
+            raise ValueError(f"nodes {nodes} do not form one interval")
+        self._check(p)
+        self._check(q - 1)
+        if p == 1:
+            return evacuate(b, q)
+        return evacuate(evacuate(evacuate(b, q), q - p + 1), q)
 
     def canon(self, b) -> str:
         return "/".join(",".join(str(v) for v in row) for row in b)
@@ -176,6 +227,28 @@ def enumerate_b_lambda(shape, rank: int, cross_check: bool = False) -> list[Rows
                 f"operator closure has {len(seen)} tableaux, backtracking "
                 f"{len(direct)}, for shape {shape} rank {rank}")
     return sorted(seen, key=model.canon)
+
+
+def verify_local_involution(shape, rank: int) -> Report:
+    """On every tableau of `shape` and every interval, the local route
+    (`TableauCrystal.interval_involution`) equals edge transport."""
+    if rank < 2:
+        raise ValueError(f"rank {rank} has no intervals to check")
+    shape = partition(shape)
+    instance = {"shape": list(shape), "rank": rank}
+    crystal = tableau_crystal(rank)
+    elements = enumerate_b_lambda(shape, rank)
+    checked = 0
+    for g in intervals(rank):
+        nodes = g.nodes
+        for b in elements:
+            checked += 1
+            local = crystal.interval_involution(b, nodes)
+            if local != schuetzenberger(crystal, b, nodes):
+                return Report("local-involution", instance, checked, "fail",
+                              f"{g} local route disagrees with transport at "
+                              f"{crystal.canon(b)}")
+    return Report("local-involution", instance, checked, "pass")
 
 
 def column_bits(rows: Rows, rank: int) -> tuple[tuple[int, ...], ...]:

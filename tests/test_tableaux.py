@@ -3,13 +3,18 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from glcrystals import tableaux
 from glcrystals.base import partitions_in_box, schur_bruteforce, ssyt_fillings
-from glcrystals.core import Crystal, character, check_crystal_axioms, schuetzenberger
+from glcrystals.cactus import inner_act, verify_cactus_relations, word
+from glcrystals.core import (Crystal, character, check_crystal_axioms,
+                             schuetzenberger, verify_involution_properties)
+from glcrystals.gt import check_cgp_homomorphism
 from glcrystals.matrices import fundamental_crystal
-from glcrystals.tableaux import (apply_e, apply_f, column_bits,
-                                 enumerate_b_lambda, from_json, highest_tableau,
-                                 pretty, signature, ssyt, tableau_crystal,
-                                 to_json, weight_of)
+from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f, column_bits,
+                                 enumerate_b_lambda, evacuate, from_json,
+                                 highest_tableau, pretty, signature, ssyt,
+                                 tableau_crystal, to_json,
+                                 verify_local_involution, weight_of)
 from glcrystals.tensor import tensor_crystal
 
 T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
@@ -198,3 +203,102 @@ def test_json_round_trip():
 def test_pretty_layout():
     text = pretty(ssyt([[1, 1, 2], [2, 3]], 3))
     assert text.splitlines() == ["1 1 2", "2 3"]
+
+
+# ---------------------------------------------------------------------------
+# evacuation: the local route of the inner cactus action
+
+def test_evacuate_golden():
+    # entries at most 3 evacuate among themselves; the 4 stays put
+    t = ssyt([(1, 1, 2), (2, 3), (4,)], 4)
+    assert evacuate(t, 3) == ((1, 2, 3), (2, 3), (4,))
+    assert evacuate(t, 3) == schuetzenberger(tableau_crystal(4), t, (1, 2))
+    assert evacuate(evacuate(t, 3), 3) == t
+    assert evacuate((), 3) == ()
+
+
+def test_local_involution_matches_transport_exhaustively():
+    cases = [(rank, shape) for rank in (2, 3, 4, 5) for shape in small_shapes(rank, 6)]
+    cases += [(6, shape) for shape in small_shapes(6, 4)]
+    for rank, shape in cases:
+        rep = verify_local_involution(shape, rank)
+        assert rep.ok, rep.witness
+        assert rep.checked > 0
+
+
+def test_local_involution_needs_intervals():
+    with pytest.raises(ValueError):
+        verify_local_involution((1,), 1)
+
+
+def test_interval_involution_takes_one_interval_in_range():
+    crystal = tableau_crystal(4)
+    t = ssyt([(1, 2, 2), (3, 4)], 4)
+    assert crystal.interval_involution(t, ()) == t
+    for nodes in ((3, 4), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            crystal.interval_involution(t, nodes)
+
+
+def _broken_evacuate(prefer_right=False, complement=True):
+    """`evacuate` with one seeded fault: ties slide from the right, or the
+    vacated corner gets a instead of r+1-a."""
+    def evacuate(rows, r):
+        grid = [list(row) for row in rows]
+        lengths = [sum(1 for v in row if v <= r) for row in rows]
+        while lengths and lengths[0]:
+            a = grid[0][0]
+            i = j = 0
+            while True:
+                right = grid[i][j + 1] if j + 1 < lengths[i] else None
+                below = (grid[i + 1][j]
+                         if i + 1 < len(lengths) and j < lengths[i + 1] else None)
+                take_below = below is not None and (
+                    right is None or below < right or (below == right and not prefer_right))
+                if take_below:
+                    grid[i][j] = below
+                    i += 1
+                elif right is not None:
+                    grid[i][j] = right
+                    j += 1
+                else:
+                    break
+            lengths[i] -= 1
+            grid[i][j] = r + 1 - a if complement else a
+        return tuple(tuple(row) for row in grid)
+    return evacuate
+
+
+@pytest.mark.parametrize("fault, shape", [
+    ({"prefer_right": True}, (2, 1)),
+    ({"complement": False}, (1,)),
+])
+def test_local_involution_catches_seeded_faults(monkeypatch, fault, shape):
+    assert verify_local_involution(shape, 2).ok
+    monkeypatch.setattr(tableaux, "evacuate", _broken_evacuate(**fault))
+    assert verify_local_involution(shape, 2).status == "fail"
+
+
+def test_verifiers_keep_transport(monkeypatch):
+    # with the local route replaced by the identity, only the verifier that
+    # compares it with transport notices
+    monkeypatch.setattr(TableauCrystal, "interval_involution",
+                        lambda self, b, nodes: b)
+    crystal = tableau_crystal(3)
+    elements = enumerate_b_lambda((2, 1), 3)
+    assert inner_act(word(3, (1, 3)), crystal, elements[0]) == elements[0]
+    assert verify_cactus_relations(crystal, elements).ok
+    assert verify_involution_properties(crystal, elements).ok
+    assert check_cgp_homomorphism((2, 1), 3).ok
+    assert verify_local_involution((2, 1), 3).status == "fail"
+
+
+def test_cold_tableau_word_builds_no_component():
+    # s[1,5] on shape (4,3,2,1) has a component of 1024 tableaux; the local
+    # route must not fall back to walking it
+    crystal = TableauCrystal(5)
+    t = ssyt([(1, 1, 2, 3), (2, 3, 4), (4, 5), (5,)], 5)
+    out = inner_act(word(5, (1, 5)), crystal, t)
+    assert crystal._xi_cache == {}
+    assert crystal._component_cache == {}
+    assert out == schuetzenberger(TableauCrystal(5), t, (1, 2, 3, 4))
