@@ -16,7 +16,7 @@ from .core import (Component, Crystal, Report, character, check_crystal_axioms,
                    component, components, export_graph, is_morphism,
                    kashiwara_reflection, schuetzenberger,
                    schuetzenberger_by_path, to_highest_path, to_lowest_path,
-                   verify_involution_properties)
+                   verify_involution_properties, verify_local_involution)
 from .gt import (PatternCrystal, beta, bk_move, bk_q, check_cgp_homomorphism,
                  gt_pattern, gt_to_tableau, pattern_crystal, patterns_with_top,
                  tableau_to_gt)
@@ -30,7 +30,7 @@ from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
                        verify_counting)
 from .tableaux import (TableauCrystal, apply_e, apply_f, enumerate_b_lambda,
                        evacuate, highest_tableau, signature, ssyt,
-                       tableau_crystal, verify_local_involution, weight_of)
+                       tableau_crystal, weight_of)
 from .tensor import TensorCrystal, tensor_crystal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

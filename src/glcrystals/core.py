@@ -13,7 +13,7 @@ Absent results are represented by None, never by sentinel elements.
 from collections import Counter
 from dataclasses import dataclass
 
-from .base import Weight, add_root, pairing, theta_on_nodes
+from .base import Weight, add_root, intervals, pairing, theta_on_nodes
 
 
 class Crystal:
@@ -411,6 +411,26 @@ def verify_involution_properties(crystal: Crystal, elements) -> Report:
                 return _fail("involution", instance, checked,
                              f"path transport disagrees on {nodes} at {crystal.canon(b)}")
     return _passed("involution", instance, checked)
+
+
+def verify_local_involution(crystal: Crystal, elements) -> Report:
+    """On every element and every interval, the model's local route
+    (`interval_involution`: evacuation on tableaux and patterns) equals
+    edge transport."""
+    if crystal.rank < 2:
+        raise ValueError(f"rank {crystal.rank} has no intervals to check")
+    instance = {"rank": crystal.rank, "size": len(elements)}
+    checked = 0
+    for g in intervals(crystal.rank):
+        nodes = g.nodes
+        for b in elements:
+            checked += 1
+            local = crystal.interval_involution(b, nodes)
+            if local != schuetzenberger(crystal, b, nodes):
+                return _fail("local-involution", instance, checked,
+                             f"{g} local route disagrees with transport at "
+                             f"{crystal.canon(b)}")
+    return _passed("local-involution", instance, checked)
 
 
 def is_morphism(f_map, dom: Crystal, cod: Crystal, elements, nodes=None) -> Report:

@@ -159,6 +159,12 @@ class PatternCrystal(Crystal):
     def f(self, i, x):
         return self._lift(self._tab.f(i, gt_to_tableau(x)))
 
+    def interval_involution(self, x, nodes):
+        """Local route: the tableau model's evacuation, conjugated through
+        the tableau bijection."""
+        t = self._tab.interval_involution(gt_to_tableau(x), nodes)
+        return tableau_to_gt(t, self.rank)
+
     def canon(self, x) -> str:
         return "/".join(",".join(str(v) for v in row) for row in x)
 

@@ -4,8 +4,10 @@ inner cactus actions.
 
 The forward map raises a matrix to its rank-m highest weight form P and
 lowers it to its rank-n lowest weight form Q, then reads P into a rank-n
-tableau through prefix row sums and Q into a rank-m tableau through
-bottom-up prefix column sums.
+tableau column by column (the rows holding a one in each column of P) and
+Q into a rank-m tableau row by row, bottom-up (the columns holding a one in
+each row of Q).  The outer actions compute the full involution of a block
+through the same pair.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, bit_matrices,
                        check_budget, dims, matrix_col_crystal,
                        matrix_row_crystal)
-from .tableaux import Rows, shape_of, ssyt
+from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
 # ---------------------------------------------------------------------------
@@ -68,58 +70,31 @@ def doubly_extreme_shape(L: Matrix) -> Partition:
 # ---------------------------------------------------------------------------
 # tableau readings of the extremal matrices
 
-def _conjugate_lengths(cols: list[int]) -> tuple[int, ...]:
-    """Row lengths of the diagram whose column lengths are `cols`."""
-    if any(a < b for a, b in zip(cols, cols[1:])):
-        raise ValueError(f"column lengths {cols} not weakly decreasing")
-    depth = cols[0] if cols else 0
-    return tuple(sum(1 for c in cols if c > r) for r in range(depth))
-
-
-def _fill_chain(shapes: list[tuple[int, ...]]) -> Rows:
-    """Tableau with entry i on the boxes added at step i of a nested chain."""
-    rows: list[list[int]] = []
-    prev: tuple[int, ...] = ()
-    for i, shape in enumerate(shapes, start=1):
-        for r, width in enumerate(shape):
-            before = prev[r] if r < len(prev) else 0
-            if width < before:
-                raise ValueError("chain of shapes is not nested")
-            if width == before:
-                continue
-            if r >= len(rows):
-                rows.append([])
-            rows[r].extend([i] * (width - before))
-        prev = shape
-    return tuple(tuple(r) for r in rows)
+def _from_columns(cols: list[list[int]]) -> Rows:
+    """Tableau rows of the columns listed left to right, each top-down."""
+    depth = max(map(len, cols), default=0)
+    return tuple(tuple(col[r] for col in cols if len(col) > r)
+                 for r in range(depth))
 
 
 def phi_map(P: Matrix) -> Rows:
-    """R-highest matrix to a rank-n tableau: step i adds the columns counted
-    by the i-th prefix row sum."""
+    """R-highest matrix to a rank-n tableau: column c of the tableau holds
+    the rows with a one in column c of P."""
     n, m = dims(P)
     if any(Reps(P, i) != 0 for i in range(1, m)):
         raise ValueError("phi needs an R-highest matrix")
-    shapes = []
-    acc = [0] * m
-    for r in range(n):
-        acc = [a + v for a, v in zip(acc, P[r])]
-        shapes.append(_conjugate_lengths(acc))
-    return ssyt(_fill_chain(shapes), n)
+    cols = [[r + 1 for r in range(n) if P[r][c]] for c in range(m)]
+    return ssyt(_from_columns(cols), n)
 
 
 def psi_map(Q: Matrix) -> Rows:
-    """C-lowest matrix to a rank-m tableau: step i adds the rows counted by
-    the i-th prefix of bottom-up column sums."""
+    """C-lowest matrix to a rank-m tableau: column k of the tableau holds
+    the columns with a one in row n-k of Q."""
     n, m = dims(Q)
     if any(Cphi(Q, j) != 0 for j in range(1, n)):
         raise ValueError("psi needs a C-lowest matrix")
-    shapes = []
-    acc = [0] * n
-    for c in range(m):
-        acc = [a + Q[n - 1 - k][c] for k, a in enumerate(acc)]
-        shapes.append(_conjugate_lengths(acc))
-    return ssyt(_fill_chain(shapes), m)
+    cols = [[c + 1 for c in range(m) if row[c]] for row in reversed(Q)]
+    return ssyt(_from_columns(cols), m)
 
 
 def phi_inv(T: Rows, rank: int, m: int) -> Matrix:
@@ -169,6 +144,16 @@ def duality_iso(M: Matrix) -> DualityPair:
     return DualityPair(pmat, qmat, t_p, t_q, lam)
 
 
+def _replay(op, M: Matrix, path, error: str) -> Matrix:
+    """Apply `op` along the reversed path; a step that falls off raises
+    ValueError(error)."""
+    for i in reversed(path):
+        M = op(M, i)
+        if M is None:
+            raise ValueError(error)
+    return M
+
+
 def duality_inv(pair: DualityPair) -> Matrix:
     """Inverse of the packaged map.
 
@@ -186,17 +171,8 @@ def duality_inv(pair: DualityPair) -> Matrix:
     corner_from_q, r_path = to_highest_path(row, qmat, row.nodes())
     if corner_from_p != corner_from_q:
         raise ValueError("P and Q do not meet at a common extreme matrix")
-    M = pmat
-    for i in reversed(r_path):
-        M = Rf(M, i)
-        if M is None:
-            raise ValueError("R path cannot be replayed from P")
-    M2 = qmat
-    for j in reversed(c_path):
-        M2 = Ce(M2, j)
-        if M2 is None:
-            raise ValueError("C path cannot be replayed from Q")
-    if M != M2:
+    M = _replay(Rf, pmat, r_path, "R path cannot be replayed from P")
+    if M != _replay(Ce, qmat, c_path, "C path cannot be replayed from Q"):
         raise ValueError("the two reconstructions disagree")
     return M
 
@@ -209,23 +185,87 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # it.  So the block step of the generic outer action in `cactus` (flip the
 # factor block, apply xi to each factor) is a half turn of the sub-matrix
 # the block spans, and the block tensor crystal is that sub-matrix's own
-# row (or column) structure, where the closed-form operators act.
+# row (or column) structure.
+#
+# The full involution of that structure is computed through the block's
+# duality pair: the C operators fix T_Q and commute with the R operators,
+# so the row involution is the evacuation of T_Q on the block's C-lowest
+# form, carried back along the C path; the column involution is the same
+# with T_P, the R-highest form and the R path.  No component is walked, so
+# a cold block costs one path and one evacuation.  The inner actions keep
+# edge transport, which keeps the agreement of the two actions a check of
+# two independent routes, and `verify_agreement`/`verify_corollary` pass
+# transport for the block step, where the memo serves their sweeps.
+
+def _outer_rows(M: Matrix, w: CactusWord, block_xi) -> Matrix:
+    """Outer action on the row word, with `block_xi` the full involution
+    of the row structure of a block of rows."""
+    n = len(M)
+    if w.rank != n:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
+    for g in w.generators:
+        p, q = g.p, g.q
+        block = tuple(row[::-1] for row in reversed(M[p - 1:q]))
+        M = M[:p - 1] + block_xi(block) + M[q:]
+    return M
+
+
+def _outer_cols(M: Matrix, w: CactusWord, block_xi) -> Matrix:
+    """Outer action on the reversed column word, with `block_xi` the full
+    involution of the column structure of a block of columns."""
+    m = dims(M)[1]
+    if w.rank != m:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
+    for g in w.generators:
+        lo, hi = m - g.q, m - g.p + 1
+        block = block_xi(tuple(row[lo:hi][::-1] for row in reversed(M)))
+        M = tuple(row[:lo] + new + row[hi:] for row, new in zip(M, block))
+    return M
+
+
+def _row_xi_by_transport(B: Matrix) -> Matrix:
+    """Full involution of the row structure of B, by memoized transport."""
+    row = matrix_row_crystal(*dims(B))
+    return schuetzenberger(row, B, row.nodes())
+
+
+def _col_xi_by_transport(B: Matrix) -> Matrix:
+    """Full involution of the column structure of B, by memoized transport."""
+    col = matrix_col_crystal(*dims(B))
+    return schuetzenberger(col, B, col.nodes())
+
+
+def _row_xi_by_duality(B: Matrix) -> Matrix:
+    """Full involution of the row structure: lower B to its C-lowest form,
+    evacuate the rank-m tableau psi reads from it, and raise the result
+    back along the reversed C path."""
+    a, m = dims(B)
+    col = matrix_col_crystal(a, m)
+    low, path = to_lowest_path(col, B, col.nodes())
+    evacuated = psi_inv(evacuate(psi_map(low), m), m, a)
+    return _replay(Ce, evacuated, path,
+                   "C path cannot be replayed on the evacuated block")
+
+
+def _col_xi_by_duality(B: Matrix) -> Matrix:
+    """Full involution of the column structure: raise B to its R-highest
+    form, evacuate the rank-n tableau phi reads from it, and lower the
+    result back along the reversed R path."""
+    n, b = dims(B)
+    row = matrix_row_crystal(n, b)
+    high, path = to_highest_path(row, B, row.nodes())
+    evacuated = phi_inv(evacuate(phi_map(high), n), n, b)
+    return _replay(Rf, evacuated, path,
+                   "R path cannot be replayed on the evacuated block")
+
 
 def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
     """Outer action on the row word (rank = number of rows).
 
     Each generator s[p,q] turns rows p..q by half a turn and applies the
-    full involution of the row structure of that sub-matrix (Re/Rf)."""
-    n, m = dims(M)
-    if w.rank != n:
-        raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
-    nodes = tuple(range(1, m))
-    for g in w.generators:
-        p, q = g.p, g.q
-        block = tuple(row[::-1] for row in reversed(M[p - 1:q]))
-        block = schuetzenberger(matrix_row_crystal(q - p + 1, m), block, nodes)
-        M = M[:p - 1] + block + M[q:]
-    return M
+    full involution of the row structure of that sub-matrix, computed as
+    the evacuation of its T_Q."""
+    return _outer_rows(M, w, _row_xi_by_duality)
 
 
 def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
@@ -233,17 +273,9 @@ def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
 
     Word positions p..q are the matrix columns m-q..m-p (0-based); each
     generator turns those columns by half a turn and applies the full
-    involution of the column structure of that sub-matrix (Ce/Cf)."""
-    n, m = dims(M)
-    if w.rank != m:
-        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
-    nodes = tuple(range(1, n))
-    for g in w.generators:
-        lo, hi = m - g.q, m - g.p + 1
-        block = tuple(row[lo:hi][::-1] for row in reversed(M))
-        block = schuetzenberger(matrix_col_crystal(n, hi - lo), block, nodes)
-        M = tuple(row[:lo] + new + row[hi:] for row, new in zip(M, block))
-    return M
+    involution of the column structure of that sub-matrix, computed as the
+    evacuation of its T_P."""
+    return _outer_cols(M, w, _col_xi_by_duality)
 
 
 def inner_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -282,7 +314,7 @@ def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
     for M in bit_matrices(n, m, N):
         for p, q, w, nodes in gens:
             checked += 1
-            outer = outer_on_rows(M, w)
+            outer = _outer_rows(M, w, _row_xi_by_transport)
             inner = schuetzenberger(col_model, M, nodes)
             if outer != inner:
                 flat = "".join(str(v) for row in M for v in row)
@@ -326,7 +358,8 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
     for N_mat in bit_matrices(n, m, N):
         for p, q, inner_w, outer_w in gens_m:
             checked += 1
-            if outer_on_cols(N_mat, outer_w) != inner_on_rows(N_mat, inner_w):
+            outer = _outer_cols(N_mat, outer_w, _col_xi_by_transport)
+            if outer != inner_on_rows(N_mat, inner_w):
                 flat = "".join(str(v) for row in N_mat for v in row)
                 return Report("corollary", instance, checked, "fail",
                               f"s[{m + 1 - q},{m + 1 - p}] outer on columns != "

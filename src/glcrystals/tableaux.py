@@ -10,9 +10,8 @@ import json
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .base import (Partition, Weight, content, intervals, partition,
-                   ssyt_fillings)
-from .core import Crystal, Report, schuetzenberger
+from .base import Partition, Weight, content, partition, ssyt_fillings
+from .core import Crystal
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -227,28 +226,6 @@ def enumerate_b_lambda(shape, rank: int, cross_check: bool = False) -> list[Rows
                 f"operator closure has {len(seen)} tableaux, backtracking "
                 f"{len(direct)}, for shape {shape} rank {rank}")
     return sorted(seen, key=model.canon)
-
-
-def verify_local_involution(shape, rank: int) -> Report:
-    """On every tableau of `shape` and every interval, the local route
-    (`TableauCrystal.interval_involution`) equals edge transport."""
-    if rank < 2:
-        raise ValueError(f"rank {rank} has no intervals to check")
-    shape = partition(shape)
-    instance = {"shape": list(shape), "rank": rank}
-    crystal = tableau_crystal(rank)
-    elements = enumerate_b_lambda(shape, rank)
-    checked = 0
-    for g in intervals(rank):
-        nodes = g.nodes
-        for b in elements:
-            checked += 1
-            local = crystal.interval_involution(b, nodes)
-            if local != schuetzenberger(crystal, b, nodes):
-                return Report("local-involution", instance, checked, "fail",
-                              f"{g} local route disagrees with transport at "
-                              f"{crystal.canon(b)}")
-    return Report("local-involution", instance, checked, "pass")
 
 
 def column_bits(rows: Rows, rank: int) -> tuple[tuple[int, ...], ...]:

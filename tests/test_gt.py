@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glcrystals.base import partitions_in_box
-from glcrystals.gt import (beta, bk_move, bk_q, check_cgp_homomorphism,
-                           from_json, gt_pattern, gt_to_tableau,
-                           patterns_with_top, pretty, rank_of, tableau_to_gt,
-                           to_json)
+from glcrystals.cactus import inner_act, word
+from glcrystals.core import schuetzenberger, verify_local_involution
+from glcrystals.gt import (PatternCrystal, beta, bk_move, bk_q,
+                           check_cgp_homomorphism, from_json, gt_pattern,
+                           gt_to_tableau, pattern_crystal, patterns_with_top,
+                           pretty, rank_of, tableau_to_gt, to_json)
 from glcrystals.tableaux import ssyt, weight_of
 
 X = gt_pattern([(5, 3, 3, 1), (4, 3, 1), (4, 2), (3,)])
@@ -123,6 +125,46 @@ def test_cgp_homomorphism():
     assert check_cgp_homomorphism((2,), 2).ok
     assert check_cgp_homomorphism((2, 1, 0), 3).ok
     assert check_cgp_homomorphism((2, 1, 1, 0), 4).ok
+
+
+def pattern_pool(lam, rank):
+    return list(patterns_with_top(lam + (0,) * (rank - len(lam)), rank))
+
+
+def test_pattern_local_involution_matches_transport():
+    for rank in (2, 3, 4, 5):
+        for lam in shapes(rank, 5 if rank < 5 else 3):
+            rep = verify_local_involution(pattern_crystal(rank),
+                                          pattern_pool(lam, rank))
+            assert rep.ok, rep.witness
+            assert rep.checked > 0
+
+
+def test_pattern_local_involution_catches_a_seeded_fault(monkeypatch):
+    # the conjugated route applied to the reflected interval: the full
+    # interval is unchanged, s[1,2] and s[2,3] of rank 3 swap
+    def reflected(self, x, nodes):
+        flipped = tuple(self.rank - i for i in reversed(nodes))
+        t = self._tab.interval_involution(gt_to_tableau(x), flipped)
+        return tableau_to_gt(t, self.rank)
+
+    pool = pattern_pool((2, 1), 3)
+    assert verify_local_involution(pattern_crystal(3), pool).ok
+    monkeypatch.setattr(PatternCrystal, "interval_involution", reflected)
+    rep = verify_local_involution(pattern_crystal(3), pool)
+    assert rep.status == "fail"
+    assert rep.witness.startswith("s[1,2] local route disagrees")
+
+
+def test_cold_pattern_word_builds_no_component():
+    # s[1,5] on this pattern has a component of 1024 patterns; the local
+    # route conjugates evacuation and must not walk it
+    x = tableau_to_gt(ssyt([(1, 1, 2, 3), (2, 3, 4), (4, 5), (5,)], 5), 5)
+    crystal = PatternCrystal(5)
+    out = inner_act(word(5, (1, 5)), crystal, x)
+    assert crystal._xi_cache == {}
+    assert crystal._component_cache == {}
+    assert out == schuetzenberger(PatternCrystal(5), x, (1, 2, 3, 4))
 
 
 def test_index_range_errors():

@@ -7,14 +7,14 @@ from glcrystals import tableaux
 from glcrystals.base import partitions_in_box, schur_bruteforce, ssyt_fillings
 from glcrystals.cactus import inner_act, verify_cactus_relations, word
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
-                             schuetzenberger, verify_involution_properties)
+                             schuetzenberger, verify_involution_properties,
+                             verify_local_involution)
 from glcrystals.gt import check_cgp_homomorphism
 from glcrystals.matrices import fundamental_crystal
 from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f, column_bits,
                                  enumerate_b_lambda, evacuate, from_json,
                                  highest_tableau, pretty, signature, ssyt,
-                                 tableau_crystal, to_json,
-                                 verify_local_involution, weight_of)
+                                 tableau_crystal, to_json, weight_of)
 from glcrystals.tensor import tensor_crystal
 
 T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
@@ -23,6 +23,11 @@ T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
 def small_shapes(rank, max_boxes):
     for size in range(max_boxes + 1):
         yield from partitions_in_box(rank, size, size)
+
+
+def local_involution(shape, rank):
+    return verify_local_involution(tableau_crystal(rank),
+                                   enumerate_b_lambda(shape, rank))
 
 
 def test_ssyt_validation():
@@ -221,14 +226,14 @@ def test_local_involution_matches_transport_exhaustively():
     cases = [(rank, shape) for rank in (2, 3, 4, 5) for shape in small_shapes(rank, 6)]
     cases += [(6, shape) for shape in small_shapes(6, 4)]
     for rank, shape in cases:
-        rep = verify_local_involution(shape, rank)
+        rep = local_involution(shape, rank)
         assert rep.ok, rep.witness
         assert rep.checked > 0
 
 
 def test_local_involution_needs_intervals():
     with pytest.raises(ValueError):
-        verify_local_involution((1,), 1)
+        verify_local_involution(tableau_crystal(1), [((1,),)])
 
 
 def test_interval_involution_takes_one_interval_in_range():
@@ -274,9 +279,9 @@ def _broken_evacuate(prefer_right=False, complement=True):
     ({"complement": False}, (1,)),
 ])
 def test_local_involution_catches_seeded_faults(monkeypatch, fault, shape):
-    assert verify_local_involution(shape, 2).ok
+    assert local_involution(shape, 2).ok
     monkeypatch.setattr(tableaux, "evacuate", _broken_evacuate(**fault))
-    assert verify_local_involution(shape, 2).status == "fail"
+    assert local_involution(shape, 2).status == "fail"
 
 
 def test_verifiers_keep_transport(monkeypatch):
@@ -290,7 +295,7 @@ def test_verifiers_keep_transport(monkeypatch):
     assert verify_cactus_relations(crystal, elements).ok
     assert verify_involution_properties(crystal, elements).ok
     assert check_cgp_homomorphism((2, 1), 3).ok
-    assert verify_local_involution((2, 1), 3).status == "fail"
+    assert local_involution((2, 1), 3).status == "fail"
 
 
 def test_cold_tableau_word_builds_no_component():
