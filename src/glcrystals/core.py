@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from .base import Weight, add_root, intervals, pairing, theta_on_nodes
 
+# The value of an edge slot no walk has read yet.  Not None, which means
+# "no edge", and not a value any model could use as an element.
+_UNFILLED = object()
+
 
 class Crystal:
     """Abstract crystal contract.  Subclasses implement weight, e, f and may
@@ -31,6 +35,14 @@ class Crystal:
         # invalidated.
         self._xi_cache: dict = {}
         self._component_cache: dict = {}
+        # One edge record per element value, shared by the walks of every
+        # node set: record[0] is the one object the memos keep for that
+        # value, and record[s] / record[s + 1], with s = _slots[j] given to
+        # node j the first time a walk uses it, hold e_j / f_j of it: None
+        # (no edge), the record of the result, or _UNFILLED until a walk
+        # first needs them.
+        self._edges: dict = {}
+        self._slots: dict = {}
 
     # -- required model surface ------------------------------------------
     def weight(self, b) -> Weight:
@@ -113,49 +125,74 @@ def _passed(name, instance, checked) -> Report:
 def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     """One BFS from b over the e/f edges coloured by `nodes`.
 
-    Records every edge it crosses and notes each element without an e or
+    Reads each edge from the model's edge records and calls e_j or f_j only
+    on a slot no earlier walk filled, so over all node sets every (element,
+    node, direction) costs one operator call; every result is replaced by
+    the canonical object of its value.  Notes each element without an e or
     an f edge as it goes, memoizes the component for all of its elements and
-    returns (component, e_edge, f_edge) with e_edge[j][x] = e_j(x) and
-    f_edge[j][x] = f_j(x).  A component without exactly one highest-weight
-    and one lowest-weight element means the model is broken, and raises.
+    returns (component, record of its highest, record of its lowest).  A
+    component without exactly one highest-weight and one lowest-weight
+    element means the model is broken, and raises.
     """
-    e_edge = {j: {} for j in nodes}
-    f_edge = {j: {} for j in nodes}
-    seen = {b}
-    frontier = [b]
+    slots = crystal._slots
+    for j in nodes:
+        if j not in slots:
+            slots[j] = 2 * len(slots) + 1
+    width = 2 * len(slots) + 1
+    steps = [(j, slots[j]) for j in nodes]
+    edges = crystal._edges
+    e, f = crystal.e, crystal.f
+
+    def record(x):
+        rec = edges.get(x)
+        if rec is None:
+            rec = edges[x] = [x]
+        return rec
+
+    first = record(b)
+    seen = {id(first): first}
+    frontier = [first]
     highs = []
     lows = []
     while frontier:
-        x = frontier.pop()
+        rec = frontier.pop()
+        if len(rec) < width:
+            rec.extend([_UNFILLED] * (width - len(rec)))
+        x = rec[0]
         raised = lowered = False
-        for j in nodes:
-            y = crystal.e(j, x)
+        for j, s in steps:
+            y = rec[s]
+            if y is _UNFILLED:
+                y = e(j, x)
+                y = rec[s] = None if y is None else record(y)
             if y is not None:
                 raised = True
-                e_edge[j][x] = y
-                if y not in seen:
-                    seen.add(y)
+                if id(y) not in seen:
+                    seen[id(y)] = y
                     frontier.append(y)
-            y = crystal.f(j, x)
+            y = rec[s + 1]
+            if y is _UNFILLED:
+                y = f(j, x)
+                y = rec[s + 1] = None if y is None else record(y)
             if y is not None:
                 lowered = True
-                f_edge[j][x] = y
-                if y not in seen:
-                    seen.add(y)
+                if id(y) not in seen:
+                    seen[id(y)] = y
                     frontier.append(y)
         if not raised:
-            highs.append(x)
+            highs.append(rec)
         if not lowered:
-            lows.append(x)
+            lows.append(rec)
     if len(highs) != 1 or len(lows) != 1:
         raise ValueError(
             f"component of {crystal.canon(b)} on nodes {nodes} has "
             f"{len(highs)} highest / {len(lows)} lowest weight elements")
-    comp = Component(frozenset(seen), highs[0], lows[0])
+    elements = [rec[0] for rec in seen.values()]
+    comp = Component(frozenset(elements), highs[0][0], lows[0][0])
     cache = crystal._component_cache.setdefault(nodes, {})
-    for x in seen:
+    for x in elements:
         cache[x] = comp
-    return comp, e_edge, f_edge
+    return comp, highs[0], lows[0]
 
 
 def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
@@ -235,8 +272,9 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
 
     Computed per component by transport: the highest element maps to the
     lowest, and the image propagates along every edge with the node index
-    twisted by the interval involution.  One sweep records the component's
-    edges, fills the involution for all its elements, and memoizes both,
+    twisted by the interval involution.  One walk reads the component's
+    edges from the model's edge records, which the walks of every node set
+    share, and the involution is filled and memoized for all its elements,
     which is what makes exhaustive verification sweeps affordable.  Path
     independence against the directed single-path variant is a tested
     property, not an assumption.
@@ -251,32 +289,32 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         hit = table.get(b)
         if hit is not None:
             return hit
-    comp, e_edge, f_edge = _walk(crystal, b, nodes)
-    xi = {comp.highest: comp.lowest}
-    frontier = [comp.highest]
-    try:
-        while frontier:
-            x = frontier.pop()
-            img = xi[x]
-            for j in nodes:
-                tj = theta_on_nodes(nodes, j)
-                y = f_edge[j].get(x)
-                if y is not None and y not in xi:
-                    xi[y] = e_edge[tj][img]
-                    frontier.append(y)
-                y = e_edge[j].get(x)
-                if y is not None and y not in xi:
-                    xi[y] = f_edge[tj][img]
-                    frontier.append(y)
-    except KeyError:
-        raise ValueError(
-            f"involution transport broke inside the component of "
-            f"{crystal.canon(b)} on nodes {nodes}") from None
+    comp, top, low = _walk(crystal, b, nodes)
+    slots = crystal._slots
+    twisted = [(slots[j], slots[theta_on_nodes(nodes, j)]) for j in nodes]
+    xi = {id(top): low}
+    filled = [top]
+    for x in filled:
+        img = xi[id(x)]
+        if img is None:
+            raise ValueError(
+                f"involution transport broke inside the component of "
+                f"{crystal.canon(b)} on nodes {nodes}")
+        for s, t in twisted:
+            y = x[s + 1]  # f_j(x), whose image is e_t(img)
+            if y is not None and id(y) not in xi:
+                xi[id(y)] = img[t]
+                filled.append(y)
+            y = x[s]  # e_j(x), whose image is f_t(img)
+            if y is not None and id(y) not in xi:
+                xi[id(y)] = img[t + 1]
+                filled.append(y)
     if len(xi) != len(comp.elements):
         raise ValueError("involution transport missed part of a component")
     if table is None:
         table = crystal._xi_cache[nodes] = {}
-    table.update(xi)
+    for x in filled:
+        table[x[0]] = xi[id(x)][0]
     return table[b]
 
 

@@ -514,8 +514,3 @@ def from_json(obj) -> Matrix:
 
 def to_text(M: Matrix) -> str:
     return "\n".join("".join(str(v) for v in row) for row in M)
-
-
-def from_text(text: str) -> Matrix:
-    rows = [line.strip() for line in text.strip().splitlines()]
-    return bit_matrix([[int(ch) for ch in line] for line in rows])

