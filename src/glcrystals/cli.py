@@ -3,7 +3,6 @@
 Subcommands: graph, character, tensor, act, gt, skew-howe, verify.  All
 structured output is JSON (DOT for graphs, plain text on request); every
 computation is deterministic, so output for a fixed input is byte-stable.
-The environment variable CRYSTAL_SEED is reserved but unused.
 
 Exit status: 0 on success or a passing verification, 1 on a verification
 failure (the witness is printed), 2 on usage errors or malformed input.

@@ -6,7 +6,10 @@ structure (the C operators).
 Each operator family is implemented twice on purpose: once through the
 generic tensor rule on the row/column word, and once through closed
 per-position formulas.  The two implementations are kept permanently as
-mutual oracles; verify_dual_implementation compares them exhaustively.
+mutual oracles; verify_dual_implementation compares them exhaustively.  The
+closed formulas read each profile maximum in one running-sum scan; the
+tensor-rule twins (`Re_tensor` and the rest) and the `*_profile` lists stay
+the independent routes they are checked against.
 """
 
 import json
@@ -56,13 +59,20 @@ def bit_matrices(n: int, m: int, N: int):
 
 def row_weight(M: Matrix) -> Weight:
     """Column sums: the weight for the rank-m (row word) structure."""
-    n, m = dims(M)
-    return tuple(sum(M[r][c] for r in range(n)) for c in range(m))
+    return tuple(map(sum, zip(*M)))
 
 
 def col_weight(M: Matrix) -> Weight:
     """Row sums: the weight for the rank-n (column word) structure."""
-    return tuple(sum(row) for row in M)
+    return tuple(map(sum, M))
+
+
+def _flat(M: Matrix) -> str:
+    return "".join(str(v) for row in M for v in row)
+
+
+def _node_error(i: int, rank: int) -> ValueError:
+    return ValueError(f"node {i} out of range for rank {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +86,27 @@ class FundamentalCrystal(Crystal):
         return v
 
     def e(self, i, v):
+        if not 0 < i < self.rank:
+            raise _node_error(i, self.rank)
         if v[i - 1] == 0 and v[i] == 1:
             return v[:i - 1] + (1, 0) + v[i + 1:]
         return None
 
     def f(self, i, v):
+        if not 0 < i < self.rank:
+            raise _node_error(i, self.rank)
         if v[i - 1] == 1 and v[i] == 0:
             return v[:i - 1] + (0, 1) + v[i + 1:]
         return None
 
     def eps(self, i, v):
+        if not 0 < i < self.rank:
+            raise _node_error(i, self.rank)
         return 1 if (v[i - 1], v[i]) == (0, 1) else 0
 
     def phi(self, i, v):
+        if not 0 < i < self.rank:
+            raise _node_error(i, self.rank)
         return 1 if (v[i - 1], v[i]) == (1, 0) else 0
 
     def canon(self, v) -> str:
@@ -122,8 +140,7 @@ def col_word(M: Matrix) -> tuple:
 
     The reversed reading order is load-bearing: it is what makes the
     column structure's tie-breaking come out as "closest to m"."""
-    n, m = dims(M)
-    return tuple(tuple(M[r][c] for r in range(n)) for c in range(m - 1, -1, -1))
+    return tuple(zip(*M))[::-1]
 
 
 def matrix_from_row_word(word) -> Matrix:
@@ -131,9 +148,7 @@ def matrix_from_row_word(word) -> Matrix:
 
 
 def matrix_from_col_word(word) -> Matrix:
-    m = len(word)
-    n = len(word[0])
-    return tuple(tuple(word[m - 1 - c][r] for c in range(m)) for r in range(n))
+    return tuple(zip(*word[::-1]))
 
 
 def row_structure(M: Matrix) -> tuple[TensorCrystal, tuple]:
@@ -211,15 +226,16 @@ def _swap_in_col(M: Matrix, r: int, c: int, new_pair) -> Matrix:
 
 
 def _broken(op: str, index: int, M: Matrix, where: str):
-    flat = "".join(str(v) for row in M for v in row)
     return ValueError(f"{op}_{index} found no movable one at its profile "
-                      f"maximum ({where}) in {flat}")
+                      f"maximum ({where}) in {_flat(M)}")
 
 
 def Re(M: Matrix, i: int):
     """Raising in the rank-m structure: act in the topmost row achieving
     the positive maximum of `row_eps_profile`, moving its one from column
     i+1 to i.  One top-down scan keeps the running sum and the argmax."""
+    if not 0 < i < len(M[0]):
+        raise _node_error(i, len(M[0]))
     best, at, acc = 0, -1, 0
     for k, row in enumerate(M):
         a, b = row[i - 1], row[i]
@@ -237,6 +253,8 @@ def Re(M: Matrix, i: int):
 def Rf(M: Matrix, i: int):
     """Lowering in the rank-m structure: bottom-most row at the maximum of
     `row_phi_profile`, found by one bottom-up scan."""
+    if not 0 < i < len(M[0]):
+        raise _node_error(i, len(M[0]))
     best, at, acc = 0, -1, 0
     for k in range(len(M) - 1, -1, -1):
         a, b = M[k][i - 1], M[k][i]
@@ -256,6 +274,8 @@ def Ce(M: Matrix, j: int):
     achieving the positive maximum of `col_eps_profile`, moving its one
     from row j+1 to j.  One right-to-left scan keeps the running sum and
     the argmax."""
+    if not 0 < j < len(M):
+        raise _node_error(j, len(M))
     top, bot = M[j - 1], M[j]
     best, at, acc = 0, -1, 0
     for k in range(len(top) - 1, -1, -1):
@@ -274,6 +294,8 @@ def Ce(M: Matrix, j: int):
 def Cf(M: Matrix, j: int):
     """Lowering in the rank-n structure: column closest to 1 at the maximum
     of `col_phi_profile`, found by one left-to-right scan."""
+    if not 0 < j < len(M):
+        raise _node_error(j, len(M))
     top, bot = M[j - 1], M[j]
     best, at, acc = 0, -1, 0
     for k in range(len(top)):
@@ -290,19 +312,61 @@ def Cf(M: Matrix, j: int):
 
 
 def Reps(M: Matrix, i: int) -> int:
-    return max(0, max(row_eps_profile(M, i)))
+    """The maximum of `row_eps_profile` floored at zero, read in the
+    running-sum scan of `Re`."""
+    if not 0 < i < len(M[0]):
+        raise _node_error(i, len(M[0]))
+    best = acc = 0
+    for row in M:
+        a, b = row[i - 1], row[i]
+        value = acc + (b > a)
+        if value > best:
+            best = value
+        acc += b - a
+    return best
 
 
 def Rphi(M: Matrix, i: int) -> int:
-    return max(0, max(row_phi_profile(M, i)))
+    """The maximum of `row_phi_profile` floored at zero, as `Rf` scans."""
+    if not 0 < i < len(M[0]):
+        raise _node_error(i, len(M[0]))
+    best = acc = 0
+    for row in reversed(M):
+        a, b = row[i - 1], row[i]
+        value = acc + (a > b)
+        if value > best:
+            best = value
+        acc += a - b
+    return best
 
 
 def Ceps(M: Matrix, j: int) -> int:
-    return max(0, max(col_eps_profile(M, j)))
+    """The maximum of `col_eps_profile` floored at zero, as `Ce` scans."""
+    if not 0 < j < len(M):
+        raise _node_error(j, len(M))
+    top, bot = M[j - 1], M[j]
+    best = acc = 0
+    for k in range(len(top) - 1, -1, -1):
+        a, b = top[k], bot[k]
+        value = acc + (b > a)
+        if value > best:
+            best = value
+        acc += b - a
+    return best
 
 
 def Cphi(M: Matrix, j: int) -> int:
-    return max(0, max(col_phi_profile(M, j)))
+    """The maximum of `col_phi_profile` floored at zero, as `Cf` scans."""
+    if not 0 < j < len(M):
+        raise _node_error(j, len(M))
+    top, bot = M[j - 1], M[j]
+    best = acc = 0
+    for a, b in zip(top, bot):
+        value = acc + (a > b)
+        if value > best:
+            best = value
+        acc += a - b
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +422,7 @@ class MatrixRowCrystal(Crystal):
         return Rphi(M, i)
 
     def canon(self, M) -> str:
-        return "".join(str(v) for row in M for v in row)
+        return _flat(M)
 
 
 class MatrixColCrystal(Crystal):
@@ -384,7 +448,7 @@ class MatrixColCrystal(Crystal):
         return Cphi(M, j)
 
     def canon(self, M) -> str:
-        return "".join(str(v) for row in M for v in row)
+        return _flat(M)
 
 
 @lru_cache(maxsize=None)
@@ -414,46 +478,51 @@ def verify_commutation(n: int, m: int, N: int, budget: int = 10 ** 6,
     """Exhaustively check that the two structures commute: each R operator
     preserves the C weight and all C eps/phi values and commutes with each
     C operator wherever both sides are defined, and symmetrically.
+
+    Each matrix's own weights, eps/phi vectors and operator results are
+    computed once and read by every check of that matrix.
     """
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     checked = 0
+    r_nodes, c_nodes = range(1, m), range(1, n)
 
     def bad(msg, M):
-        flat = "".join(str(v) for row in M for v in row)
-        return Report("commutation", instance, checked, "fail", f"{msg} at {flat}")
+        return Report("commutation", instance, checked, "fail",
+                      f"{msg} at {_flat(M)}")
 
     for M in bit_matrices(n, m, N):
-        for i in range(1, m):
-            up = Re(M, i)
-            dn = Rf(M, i)
-            for target in (up, dn):
+        r_moves = [(Re(M, i), Rf(M, i)) for i in r_nodes]
+        c_moves = [(Ce(M, j), Cf(M, j)) for j in c_nodes]
+        r_weight, c_weight = row_weight(M), col_weight(M)
+        r_vals = [(Reps(M, i), Rphi(M, i)) for i in r_nodes]
+        c_vals = [(Ceps(M, j), Cphi(M, j)) for j in c_nodes]
+        for i, moves in zip(r_nodes, r_moves):
+            for target in moves:
                 if target is None:
                     continue
                 checked += 1
-                if col_weight(target) != col_weight(M):
+                if col_weight(target) != c_weight:
                     return bad(f"R op at {i} moved the column-structure weight", M)
-                for j in range(1, n):
-                    if Ceps(target, j) != Ceps(M, j) or Cphi(target, j) != Cphi(M, j):
+                for j, (ep, ph) in zip(c_nodes, c_vals):
+                    if Ceps(target, j) != ep or Cphi(target, j) != ph:
                         return bad(f"R op at {i} moved C eps/phi at {j}", M)
-        for j in range(1, n):
-            up = Ce(M, j)
-            dn = Cf(M, j)
-            for target in (up, dn):
+        for j, moves in zip(c_nodes, c_moves):
+            for target in moves:
                 if target is None:
                     continue
                 checked += 1
-                if row_weight(target) != row_weight(M):
+                if row_weight(target) != r_weight:
                     return bad(f"C op at {j} moved the row-structure weight", M)
-                for i in range(1, m):
-                    if Reps(target, i) != Reps(M, i) or Rphi(target, i) != Rphi(M, i):
+                for i, (ep, ph) in zip(r_nodes, r_vals):
+                    if Reps(target, i) != ep or Rphi(target, i) != ph:
                         return bad(f"C op at {j} moved R eps/phi at {i}", M)
-        for i in range(1, m):
-            for j in range(1, n):
-                for rop, cop, tag in ((Re, Ce, "Re/Ce"), (Re, Cf, "Re/Cf"),
-                                      (Rf, Ce, "Rf/Ce"), (Rf, Cf, "Rf/Cf")):
-                    a = rop(M, i)
-                    b = cop(M, j)
+        for i, (r_up, r_dn) in zip(r_nodes, r_moves):
+            for j, (c_up, c_dn) in zip(c_nodes, c_moves):
+                for a, b, rop, cop, tag in ((r_up, c_up, Re, Ce, "Re/Ce"),
+                                            (r_up, c_dn, Re, Cf, "Re/Cf"),
+                                            (r_dn, c_up, Rf, Ce, "Rf/Ce"),
+                                            (r_dn, c_dn, Rf, Cf, "Rf/Cf")):
                     if a is None or b is None:
                         continue
                     checked += 1
@@ -471,30 +540,30 @@ def verify_dual_implementation(n: int, m: int, N: int, budget: int = 10 ** 6,
     checked = 0
     pairs_row = ((Re, Re_tensor, "Re"), (Rf, Rf_tensor, "Rf"))
     pairs_col = ((Ce, Ce_tensor, "Ce"), (Cf, Cf_tensor, "Cf"))
+
+    def bad(msg, M):
+        return Report("dual-implementation", instance, checked, "fail",
+                      f"{msg} at {_flat(M)}")
+
     for M in bit_matrices(n, m, N):
-        flat = "".join(str(v) for row in M for v in row)
         for i in range(1, m):
             for closed, twin, tag in pairs_row:
                 checked += 1
                 if closed(M, i) != twin(M, i):
-                    return Report("dual-implementation", instance, checked,
-                                  "fail", f"{tag}_{i} differs at {flat}")
+                    return bad(f"{tag}_{i} differs", M)
         for j in range(1, n):
             for closed, twin, tag in pairs_col:
                 checked += 1
                 if closed(M, j) != twin(M, j):
-                    return Report("dual-implementation", instance, checked,
-                                  "fail", f"{tag}_{j} differs at {flat}")
+                    return bad(f"{tag}_{j} differs", M)
         rc, rw = row_structure(M)
         cc, cw = col_structure(M)
         for i in range(1, m):
             if Reps(M, i) != rc.eps(i, rw) or Rphi(M, i) != rc.phi(i, rw):
-                return Report("dual-implementation", instance, checked, "fail",
-                              f"R eps/phi at {i} differ at {flat}")
+                return bad(f"R eps/phi at {i} differ", M)
         for j in range(1, n):
             if Ceps(M, j) != cc.eps(j, cw) or Cphi(M, j) != cc.phi(j, cw):
-                return Report("dual-implementation", instance, checked, "fail",
-                              f"C eps/phi at {j} differ at {flat}")
+                return bad(f"C eps/phi at {j} differ", M)
     return Report("dual-implementation", instance, checked, "pass")
 
 

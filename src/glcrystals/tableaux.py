@@ -228,20 +228,6 @@ def enumerate_b_lambda(shape, rank: int, cross_check: bool = False) -> list[Rows
     return sorted(seen, key=model.canon)
 
 
-def column_bits(rows: Rows, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Columns left to right, each as the 0/1 indicator vector of its
-    entry set inside 1..rank."""
-    ncols = len(rows[0]) if rows else 0
-    cols = []
-    for c in range(ncols):
-        bits = [0] * rank
-        for row in rows:
-            if c < len(row):
-                bits[row[c] - 1] = 1
-        cols.append(tuple(bits))
-    return tuple(cols)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

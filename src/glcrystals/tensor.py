@@ -31,59 +31,74 @@ class TensorCrystal(Crystal):
                 total[k] += v
         return tuple(total)
 
-    def _eps_profile(self, i: int, t) -> list[int]:
-        """Per-position raising counts: position k carries eps_i of its
-        factor, discounted by the coroot pairing of the weight to its
-        left."""
-        prof = []
+    def profiles(self, i: int, t):
+        """Both per-position profiles.  Position k of the eps profile
+        carries eps_i of its factor, discounted by the coroot pairing of the
+        weight to its left; position k of the phi profile carries phi_i of
+        its factor, boosted by the coroot pairing of the weight to its
+        right.  The overall eps/phi are their maxima floored at zero; e acts
+        at the smallest position achieving the eps maximum, f at the
+        largest achieving the phi maximum.  The operators read the same
+        values in one scan each, without the lists.
+        """
+        eps_prof = []
         left = 0
         for model, b in zip(self.factors, t):
-            prof.append(model.eps(i, b) - left)
+            eps_prof.append(model.eps(i, b) - left)
             left += pairing(model.weight(b), i)
-        return prof
-
-    def _phi_profile(self, i: int, t) -> list[int]:
-        """Per-position lowering counts: position k carries phi_i of its
-        factor, boosted by the coroot pairing of the weight to its right."""
-        prof = []
+        phi_prof = []
         right = 0
         for model, b in zip(reversed(self.factors), reversed(t)):
-            prof.append(model.phi(i, b) + right)
+            phi_prof.append(model.phi(i, b) + right)
             right += pairing(model.weight(b), i)
-        prof.reverse()
-        return prof
+        phi_prof.reverse()
+        return eps_prof, phi_prof
 
-    def profiles(self, i: int, t):
-        """Both profiles.  The overall eps/phi are their maxima floored at
-        zero; e acts at the smallest position achieving the eps maximum, f
-        at the largest achieving the phi maximum.  Each operator builds
-        only the side it reads.
-        """
-        return self._eps_profile(i, t), self._phi_profile(i, t)
+    def _eps_max(self, i: int, t) -> tuple[int, int]:
+        """(eps maximum floored at zero, its smallest position or -1), in
+        one left-to-right scan."""
+        best, at, left, k = 0, -1, 0, 0
+        for model, b in zip(self.factors, t):
+            value = model.eps(i, b) - left
+            if value > best:
+                best, at = value, k
+            w = model.weight(b)
+            left += w[i - 1] - w[i]      # pairing(w, i), inlined
+            k += 1
+        return best, at
+
+    def _phi_max(self, i: int, t) -> tuple[int, int]:
+        """(phi maximum floored at zero, its largest position or -1), in
+        one right-to-left scan."""
+        best, at, right, k = 0, -1, 0, len(t)
+        for model, b in zip(reversed(self.factors), reversed(t)):
+            k -= 1
+            value = model.phi(i, b) + right
+            if value > best:
+                best, at = value, k
+            w = model.weight(b)
+            right += w[i - 1] - w[i]     # pairing(w, i), inlined
+        return best, at
 
     def eps(self, i, t):
-        return max(0, max(self._eps_profile(i, t)))
+        return self._eps_max(i, t)[0]
 
     def phi(self, i, t):
-        return max(0, max(self._phi_profile(i, t)))
+        return self._phi_max(i, t)[0]
 
     def e(self, i, t):
-        prof = self._eps_profile(i, t)
-        best = max(prof)
-        if best <= 0:
+        s = self._eps_max(i, t)[1]
+        if s < 0:
             return None
-        s = prof.index(best)
         x = self.factors[s].e(i, t[s])
         if x is None:
             raise ValueError(f"broken factor: e_{i} vanished at the eps maximum")
         return t[:s] + (x,) + t[s + 1:]
 
     def f(self, i, t):
-        prof = self._phi_profile(i, t)
-        best = max(prof)
-        if best <= 0:
+        s = self._phi_max(i, t)[1]
+        if s < 0:
             return None
-        s = len(prof) - 1 - prof[::-1].index(best)
         x = self.factors[s].f(i, t[s])
         if x is None:
             raise ValueError(f"broken factor: f_{i} vanished at the phi maximum")

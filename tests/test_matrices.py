@@ -3,19 +3,23 @@ from math import comb
 
 import pytest
 
+from glcrystals import matrices
 from glcrystals.core import check_crystal_axioms, is_morphism
 from glcrystals.goldens import MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2
+from glcrystals.gt import pattern_crystal, tableau_to_gt
 from glcrystals.matrices import (Ce, Ce_tensor, Ceps, Cf, Cf_tensor, Cphi, Re,
                                  Re_tensor, Reps, Rf, Rf_tensor, Rphi,
                                  bit_matrices, bit_matrix, check_budget,
                                  col_eps_profile, col_phi_profile,
-                                 col_structure, col_weight, dims, from_json,
-                                 fundamental_crystal, matrix_col_crystal,
-                                 matrix_from_col_word, matrix_from_row_word,
-                                 matrix_row_crystal, row_eps_profile,
-                                 row_phi_profile, row_structure, row_weight,
-                                 subsets, to_json, to_text, verify_commutation,
+                                 col_structure, col_weight, col_word, dims,
+                                 from_json, fundamental_crystal,
+                                 matrix_col_crystal, matrix_from_col_word,
+                                 matrix_from_row_word, matrix_row_crystal,
+                                 row_eps_profile, row_phi_profile,
+                                 row_structure, row_weight, subsets, to_json,
+                                 to_text, verify_commutation,
                                  verify_dual_implementation)
+from glcrystals.tableaux import tableau_crystal
 from glcrystals.tensor import tensor_crystal
 
 
@@ -35,6 +39,30 @@ def test_fundamental_ops():
     assert crystal.e(1, (1, 1, 0)) is None
     assert crystal.f(2, (0, 1, 0)) == (0, 0, 1)
     assert crystal.eps(1, (0, 1, 0)) == 1 and crystal.phi(1, (0, 1, 0)) == 0
+
+
+def test_every_model_rejects_out_of_range_nodes():
+    # a node outside 1..rank-1 raises; it must not wrap around the rows or
+    # positions and return an element of another size
+    M = ((1, 0), (0, 1), (1, 1))
+    vec = fundamental_crystal(3)
+    cases = ((matrix_row_crystal(3, 2), M), (matrix_col_crystal(3, 2), M),
+             (vec, (1, 0, 1)), (tableau_crystal(3), ((1, 2),)),
+             (pattern_crystal(3), tableau_to_gt(((1, 2),), 3)),
+             (tensor_crystal(vec, vec), ((1, 0, 1), (0, 1, 0))))
+    probes = 0
+    for crystal, b in cases:
+        for i in (-1, 0, crystal.rank, crystal.rank + 1):
+            for op in (crystal.e, crystal.f, crystal.eps, crystal.phi):
+                probes += 1
+                with pytest.raises(ValueError, match="out of range"):
+                    op(i, b)
+    for op, i in ((Re, 0), (Rf, 2), (Reps, -1), (Rphi, 3),
+                  (Ce, 0), (Cf, 3), (Ceps, -1), (Cphi, 4)):
+        probes += 1
+        with pytest.raises(ValueError, match=f"node {i} out of range"):
+            op(M, i)
+    assert probes == 6 * 4 * 4 + 8
 
 
 def test_fundamental_axioms_all_subsets():
@@ -78,6 +106,42 @@ def test_re_null_when_no_pattern():
 def test_weights():
     assert row_weight(MATRIX_A) == (2, 2, 3, 1, 1)
     assert col_weight(MATRIX_A) == (3, 2, 4)
+
+
+def test_kernels_match_their_comprehension_oracles():
+    # index-comprehension and profile-list oracles for the zip/map and
+    # one-scan kernels, on every matrix with nm <= 10 and every node
+    def row_weight_oracle(M):
+        n, m = dims(M)
+        return tuple(sum(M[r][c] for r in range(n)) for c in range(m))
+
+    def col_word_oracle(M):
+        n, m = dims(M)
+        return tuple(tuple(M[r][c] for r in range(n))
+                     for c in range(m - 1, -1, -1))
+
+    def from_col_word_oracle(word):
+        m, n = len(word), len(word[0])
+        return tuple(tuple(word[m - 1 - c][r] for c in range(m))
+                     for r in range(n))
+
+    cases = 0
+    for n, m in all_small_dims(10):
+        for N in range(n * m + 1):
+            for M in bit_matrices(n, m, N):
+                cases += 1
+                assert row_weight(M) == row_weight_oracle(M)
+                assert col_weight(M) == tuple(sum(row) for row in M)
+                word = col_word(M)
+                assert word == col_word_oracle(M)
+                assert matrix_from_col_word(word) == from_col_word_oracle(word) == M
+                for i in range(1, m):
+                    assert Reps(M, i) == max(0, max(row_eps_profile(M, i)))
+                    assert Rphi(M, i) == max(0, max(row_phi_profile(M, i)))
+                for j in range(1, n):
+                    assert Ceps(M, j) == max(0, max(col_eps_profile(M, j)))
+                    assert Cphi(M, j) == max(0, max(col_phi_profile(M, j)))
+    assert cases == sum(2 ** (n * m) for n, m in all_small_dims(10))
 
 
 def moved(M, cells):
@@ -152,6 +216,86 @@ def test_commutation_small():
     rep = verify_commutation(3, 3, 4)
     assert rep.ok
     assert len(list(bit_matrices(3, 3, 4))) == 126
+
+
+# Seeded faults: each stands in for one operator of the module and is
+# caught by both operator verifiers on the 3 x 3 matrices with four ones.
+# The (checked, witness) pairs are pinned: computing a matrix's own values
+# once must not change which check fails first, nor the count before it.
+
+def _ce_leftmost(M, j):
+    """Ce with its tie-break flipped: of the columns at the maximum of
+    `col_eps_profile` holding (0, 1), the one closest to 1."""
+    prof = col_eps_profile(M, j)
+    best = max(prof)
+    if best <= 0:
+        return None
+    k = min(k for k, v in enumerate(prof)
+            if v == best and (M[j - 1][k], M[j][k]) == (0, 1))
+    return moved(M, ((j - 1, k, 1), (j, k, 0)))
+
+
+def _rf_topmost(M, i):
+    """Rf acting in the topmost row at the maximum of `row_phi_profile`."""
+    prof = row_phi_profile(M, i)
+    best = max(prof)
+    if best <= 0:
+        return None
+    k = min(k for k, v in enumerate(prof)
+            if v == best and (M[k][i - 1], M[k][i]) == (1, 0))
+    return moved(M, ((k, i - 1, 0), (k, i, 1)))
+
+
+def _reps_bottom_up(M, i):
+    """Reps read on the rows in the wrong order."""
+    return max(0, max(row_eps_profile(M[::-1], i)))
+
+
+def _cphi_mirrored(M, j):
+    """Cphi read on the columns in the wrong order."""
+    return max(0, max(col_phi_profile(tuple(row[::-1] for row in M), j)))
+
+
+SEEDED_FAULTS = (
+    ("Ce", _ce_leftmost, (275, "Rf/Ce fail at (1,1) at 100101100"),
+     (407, "Ce_2 differs at 100010101")),
+    ("Rf", _rf_topmost, (30, "Rf/Cf fail at (2,1) at 111000010"),
+     (132, "Rf_2 differs at 110001010")),
+    ("Reps", _reps_bottom_up, (2, "C op at 1 moved R eps/phi at 2 at 111100000"),
+     (64, "R eps/phi at 2 differ at 110101000")),
+    ("Cphi", _cphi_mirrored, (37, "R op at 2 moved C eps/phi at 1 at 110110000"),
+     (64, "C eps/phi at 1 differ at 110101000")),
+)
+
+
+@pytest.mark.parametrize("name, fault, commutation, dual", SEEDED_FAULTS,
+                         ids=[case[0] for case in SEEDED_FAULTS])
+def test_operator_verifiers_fail_on_seeded_faults(monkeypatch, name, fault,
+                                                  commutation, dual):
+    assert verify_commutation(3, 3, 4).ok and verify_dual_implementation(3, 3, 4).ok
+    monkeypatch.setattr(matrices, name, fault)
+    for verify, expected in ((verify_commutation, commutation),
+                             (verify_dual_implementation, dual)):
+        rep = verify(3, 3, 4)
+        assert rep.status == "fail"
+        assert (rep.checked, rep.witness) == expected
+
+
+def test_operator_verifier_totals_are_pinned():
+    # (commutation, dual-implementation) checked totals over every N
+    expected = {(1, 1): (0, 0), (1, 2): (2, 8), (1, 3): (8, 32),
+                (1, 4): (24, 96), (1, 5): (64, 256), (1, 6): (160, 640),
+                (2, 1): (2, 8), (2, 2): (32, 64), (2, 3): (234, 384),
+                (3, 1): (8, 32), (3, 2): (234, 384), (4, 1): (24, 96),
+                (5, 1): (64, 256), (6, 1): (160, 640)}
+    totals = {}
+    for n, m in all_small_dims(6):
+        reports = [(verify_commutation(n, m, N), verify_dual_implementation(n, m, N))
+                   for N in range(n * m + 1)]
+        assert all(a.ok and b.ok for a, b in reports)
+        totals[n, m] = (sum(a.checked for a, _ in reports),
+                        sum(b.checked for _, b in reports))
+    assert totals == expected
 
 
 def _column_ops_without_reversal(M, j, direction):

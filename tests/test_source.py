@@ -1,6 +1,7 @@
 """Source-level guards on the library."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import glcrystals
@@ -38,3 +39,25 @@ def test_library_imports_are_used():
         found += [f"{path.name}:{line} {name}"
                   for name, line in sorted(imported.items()) if name not in used]
     assert found == []
+
+
+def test_traced_names_resolve_on_the_package():
+    # perfbench/spans.py patches these names at run time; a kernel refactor
+    # that drops one would otherwise fail only inside the benchmark's
+    # self-test subprocess
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.FUNCTIONS and spans.METHODS
+    missing = []
+    for mod_name, attr in spans.FUNCTIONS:
+        module = getattr(glcrystals, mod_name, None)
+        if not callable(getattr(module, attr, None)):
+            missing.append(f"{mod_name}.{attr}")
+    for mod_name, cls_name, meth in spans.METHODS:
+        cls = getattr(getattr(glcrystals, mod_name, None), cls_name, None)
+        # the tracer replaces the method in the class's own namespace
+        if meth not in getattr(cls, "__dict__", {}):
+            missing.append(f"{mod_name}.{cls_name}.{meth}")
+    assert missing == [], f"traced names missing from glcrystals: {missing}"

@@ -11,13 +11,27 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              verify_local_involution)
 from glcrystals.gt import check_cgp_homomorphism
 from glcrystals.matrices import fundamental_crystal
-from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f, column_bits,
+from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f,
                                  enumerate_b_lambda, evacuate, from_json,
                                  highest_tableau, pretty, signature, ssyt,
                                  tableau_crystal, to_json, weight_of)
 from glcrystals.tensor import tensor_crystal
 
 T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
+
+
+def column_bits(rows, rank):
+    """Columns left to right, each as the 0/1 indicator vector of its
+    entry set inside 1..rank."""
+    ncols = len(rows[0]) if rows else 0
+    cols = []
+    for c in range(ncols):
+        bits = [0] * rank
+        for row in rows:
+            if c < len(row):
+                bits[row[c] - 1] = 1
+        cols.append(tuple(bits))
+    return tuple(cols)
 
 
 def small_shapes(rank, max_boxes):

@@ -5,7 +5,9 @@ import pytest
 
 from glcrystals.base import pairing
 from glcrystals.core import character, check_crystal_axioms, component
-from glcrystals.matrices import fundamental_crystal, subsets
+from glcrystals.matrices import (FundamentalCrystal, bit_matrices,
+                                 col_structure, fundamental_crystal,
+                                 row_structure, subsets)
 from glcrystals.tableaux import enumerate_b_lambda, highest_tableau, tableau_crystal
 from glcrystals.tensor import (element_from_json, element_to_json,
                                tensor_crystal)
@@ -47,9 +49,26 @@ def test_two_factor_profile_golden():
     assert crystal.phi(1, (b, b)) == 2
 
 
+def _agrees_with_both_profiles(crystal, i, t):
+    eps_prof, phi_prof = crystal.profiles(i, t)
+    models = crystal.factors
+    assert crystal.eps(i, t) == max(0, max(eps_prof))
+    assert crystal.phi(i, t) == max(0, max(phi_prof))
+    up = down = None
+    if max(eps_prof) > 0:
+        s = eps_prof.index(max(eps_prof))
+        up = t[:s] + (models[s].e(i, t[s]),) + t[s + 1:]
+    if max(phi_prof) > 0:
+        s = len(t) - 1 - phi_prof[::-1].index(max(phi_prof))
+        down = t[:s] + (models[s].f(i, t[s]),) + t[s + 1:]
+    assert crystal.e(i, t) == up
+    assert crystal.f(i, t) == down
+
+
 def test_operators_agree_with_both_profiles():
-    # mixed tableau and 0/1-vector factors: each operator builds only its
-    # own side, and must read it as the two-sided profiles do
+    # each operator finds its maximum in one scan, and must read it where
+    # the two-sided profiles put it: mixed tableau and 0/1-vector factors,
+    # then the row and column structures of every matrix with nm <= 8
     tab, vec = tableau_crystal(3), fundamental_crystal(3)
     pools = {tab: enumerate_b_lambda((2, 1), 3),
              vec: [v for w in range(4) for v in subsets(3, w)]}
@@ -57,18 +76,17 @@ def test_operators_agree_with_both_profiles():
         crystal = tensor_crystal(*models)
         for t in product(*(pools[model] for model in models)):
             for i in (1, 2):
-                eps_prof, phi_prof = crystal.profiles(i, t)
-                assert crystal.eps(i, t) == max(0, max(eps_prof))
-                assert crystal.phi(i, t) == max(0, max(phi_prof))
-                up = down = None
-                if max(eps_prof) > 0:
-                    s = eps_prof.index(max(eps_prof))
-                    up = t[:s] + (models[s].e(i, t[s]),) + t[s + 1:]
-                if max(phi_prof) > 0:
-                    s = len(t) - 1 - phi_prof[::-1].index(max(phi_prof))
-                    down = t[:s] + (models[s].f(i, t[s]),) + t[s + 1:]
-                assert crystal.e(i, t) == up
-                assert crystal.f(i, t) == down
+                _agrees_with_both_profiles(crystal, i, t)
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 8 // n + 1)]
+    cases = 0
+    for n, m in shapes:
+        for N in range(n * m + 1):
+            for M in bit_matrices(n, m, N):
+                for crystal, word in (row_structure(M), col_structure(M)):
+                    for i in crystal.nodes():
+                        cases += 1
+                        _agrees_with_both_profiles(crystal, i, word)
+    assert cases == sum(2 ** (n * m) * (n + m - 2) for n, m in shapes) == 8616
 
 
 def test_lowering_acts_on_first_factor_here():
@@ -215,3 +233,19 @@ def test_json_round_trip_tagged():
     rebuilt_crystal, rebuilt = element_from_json(json.dumps(payload))
     assert rebuilt == elements[0]
     assert rebuilt_crystal is crystal
+
+
+def test_broken_factor_raises_at_the_maximum():
+    # a factor whose eps/phi promise a move its e/f do not make
+    class Stuck(FundamentalCrystal):
+        def e(self, i, v):
+            return None
+
+        def f(self, i, v):
+            return None
+
+    crystal = tensor_crystal(Stuck(2), Stuck(2))
+    with pytest.raises(ValueError, match="broken factor: e_1"):
+        crystal.e(1, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="broken factor: f_1"):
+        crystal.f(1, ((1, 0), (1, 0)))
