@@ -56,8 +56,8 @@ def parse_word(text: str, rank: int) -> CactusWord:
 
 def inner_act(w: CactusWord, crystal: Crystal, b):
     """Apply each generator as the partial Schutzenberger involution, by the
-    model's `interval_involution` (evacuation on tableaux, edge transport
-    otherwise)."""
+    model's `interval_involution` (evacuation on tableaux and on patterns,
+    edge transport otherwise)."""
     if w.rank != crystal.rank:
         raise ValueError(f"word rank {w.rank} != crystal rank {crystal.rank}")
     for g in w.generators:

@@ -12,23 +12,18 @@ import argparse
 import json
 import sys
 from itertools import product
-from math import comb
 
 from . import gt as gtmod
 from . import matrices as mat
 from . import tableaux as tab
-from .base import format_partition, parse_partition, partitions_in_box
-from .cactus import (inner_act, outer_act, parse_word,
-                     verify_cactus_relations, verify_reduced_braid)
-from .core import (Report, character, check_crystal_axioms, components,
-                   export_graph, verify_involution_properties)
-from .goldens import GOLDENS
-from .gt import check_cgp_homomorphism
-from .matrices import (bit_matrices, matrix_col_crystal, matrix_row_crystal,
-                       verify_commutation, verify_dual_implementation)
+from .base import format_partition, format_weight, parse_partition
+from .cactus import inner_act, outer_act, parse_word
+from .core import Report, character, components, export_graph
+from .matrices import bit_matrices, matrix_col_crystal, matrix_row_crystal
 from .skewhowe import (duality_inv, duality_iso, inner_on_cols, inner_on_rows,
-                       outer_on_cols, outer_on_rows, verify_agreement,
-                       verify_corollary, verify_counting)
+                       outer_on_cols, outer_on_rows)
+from .suites import (MATRIX_VERIFIERS, MODEL_VERIFIERS, SUITES, bk_rows,
+                     model_rows, suite_rows, target_rows)
 from .tableaux import enumerate_b_lambda, tableau_crystal
 from .tensor import element_from_json, element_to_json, tensor_crystal
 
@@ -107,7 +102,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_character(args) -> int:
-    from .base import format_weight
     crystal, elements = _selected_model(args)
     char = character(crystal, elements)
     items = sorted(char.items(), reverse=True)
@@ -162,9 +156,7 @@ def cmd_act(args) -> int:
         if args.mode != "inner":
             raise UsageError("patterns carry only the inner action")
         rank = gtmod.rank_of(x)
-        acted = inner_act(parse_word(args.word, rank), tableau_crystal(rank),
-                          gtmod.gt_to_tableau(x))
-        out = gtmod.tableau_to_gt(acted, rank)
+        out = inner_act(parse_word(args.word, rank), gtmod.pattern_crystal(rank), x)
         _emit(args, gtmod.to_json(out) if args.format == "json" else gtmod.pretty(out))
         return 0
     if args.model == "tensor":
@@ -230,132 +222,7 @@ def cmd_skew_howe(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-def _matrix_instances(max_cells: int):
-    for n in range(1, max_cells + 1):
-        for m in range(1, max_cells + 1):
-            if n * m <= max_cells:
-                for N in range(0, n * m + 1):
-                    yield n, m, N
-
-
-def _suite_rows(args):
-    """(label, cost, thunk) rows for `verify all`; cost is the enumeration
-    size used against the budget."""
-    rows = []
-    for name, check in GOLDENS:
-        rows.append((f"golden {name}", 0, check))
-
-    def add_matrix_suite(label, fn, max_cells):
-        for n, m, N in _matrix_instances(max_cells):
-            cost = comb(n * m, N)
-            rows.append((f"{label} n={n} m={m} N={N}", cost,
-                         lambda n=n, m=m, N=N: fn(n, m, N)))
-
-    add_matrix_suite("agree", verify_agreement, 12)
-    add_matrix_suite("corollary", verify_corollary, 12)
-    add_matrix_suite("commute", verify_commutation, 12)
-    add_matrix_suite("dual", verify_dual_implementation, 12)
-
-    def axioms_thunk(n, m, N):
-        elements = list(bit_matrices(n, m, N))
-        rep = check_crystal_axioms(matrix_row_crystal(n, m), elements)
-        if rep.ok:
-            rep = check_crystal_axioms(matrix_col_crystal(n, m), elements)
-        rep.instance.update({"n": n, "m": m, "N": N})
-        return rep
-
-    for n, m, N in _matrix_instances(12):
-        rows.append((f"axioms n={n} m={m} N={N}", comb(n * m, N),
-                     lambda n=n, m=m, N=N: axioms_thunk(n, m, N)))
-
-    def tableau_relations(rank, shape):
-        elements = enumerate_b_lambda(shape, rank)
-        rep = verify_cactus_relations(tableau_crystal(rank), elements)
-        if rep.ok:
-            rep = verify_reduced_braid(tableau_crystal(rank), elements)
-        rep.instance.update({"rank": rank, "shape": format_partition(shape)})
-        return rep
-
-    for rank in (2, 3, 4):
-        for size in range(0, 7):
-            for shape in partitions_in_box(rank, size, size):
-                cost = sum(1 for _ in enumerate_b_lambda(shape, rank))
-                rows.append(
-                    (f"cactus+braid rank={rank} shape={format_partition(shape)}",
-                     cost, lambda r=rank, s=shape: tableau_relations(r, s)))
-
-    def matrix_relations(n, m, N):
-        elements = list(bit_matrices(n, m, N))
-        rep = verify_cactus_relations(matrix_col_crystal(n, m), elements)
-        if rep.ok:
-            rep = verify_cactus_relations(matrix_row_crystal(n, m), elements)
-        if rep.ok:
-            rep = verify_reduced_braid(matrix_row_crystal(n, m), elements)
-        if rep.ok:
-            rep = verify_reduced_braid(matrix_col_crystal(n, m), elements)
-        rep.instance.update({"n": n, "m": m, "N": N})
-        return rep
-
-    for n, m, N in _matrix_instances(9):
-        rows.append((f"cactus+braid matrix n={n} m={m} N={N}", comb(n * m, N),
-                     lambda n=n, m=m, N=N: matrix_relations(n, m, N)))
-
-    for rank in (2, 3, 4):
-        for size in range(0, 7):
-            for shape in partitions_in_box(rank, size, size):
-                cost = sum(1 for _ in gtmod.patterns_with_top(shape, rank))
-                rows.append((f"bk rank={rank} shape={format_partition(shape)}",
-                             cost,
-                             lambda r=rank, s=shape: check_cgp_homomorphism(s, r)))
-
-    def oracle_thunk(rank, shape):
-        from .base import schur_bruteforce
-        elements = enumerate_b_lambda(shape, rank, cross_check=True)
-        char = character(tableau_crystal(rank), elements)
-        if char != schur_bruteforce(shape, rank):
-            return Report("oracle", {"rank": rank}, 1, "fail",
-                          f"character differs from brute force at "
-                          f"{format_partition(shape)}")
-        return Report("oracle",
-                      {"rank": rank, "shape": format_partition(shape)},
-                      len(elements), "pass")
-
-    for rank in (2, 3, 4):
-        for size in range(0, 7):
-            for shape in partitions_in_box(rank, size, size):
-                rows.append((f"oracle rank={rank} shape={format_partition(shape)}",
-                             1, lambda r=rank, s=shape: oracle_thunk(r, s)))
-
-    for n in (2, 3, 4):
-        for m in (2, 3, 4):
-            for N in range(0, n * m + 1):
-                rows.append((f"counting n={n} m={m} N={N}", comb(n * m, N),
-                             lambda n=n, m=m, N=N: verify_counting(n, m, N)))
-
-    def xi_thunk(n, m, N):
-        elements = list(bit_matrices(n, m, N))
-        rep = verify_involution_properties(matrix_col_crystal(n, m), elements)
-        if rep.ok:
-            rep = verify_involution_properties(matrix_row_crystal(n, m), elements)
-        rep.instance.update({"n": n, "m": m, "N": N})
-        return rep
-
-    for n, m, N in _matrix_instances(8):
-        rows.append((f"xi matrix n={n} m={m} N={N}", comb(n * m, N),
-                     lambda n=n, m=m, N=N: xi_thunk(n, m, N)))
-
-    def xi_tableau(rank, shape):
-        elements = enumerate_b_lambda(shape, rank)
-        return verify_involution_properties(tableau_crystal(rank), elements)
-
-    for rank, shape in ((3, (2, 1)), (3, (3, 1)), (4, (2, 1, 1)), (4, (3, 2))):
-        rows.append((f"xi tableau rank={rank} shape={format_partition(shape)}",
-                     sum(1 for _ in enumerate_b_lambda(shape, rank)),
-                     lambda r=rank, s=shape: xi_tableau(r, s)))
-    return rows
-
+# verification
 
 def cmd_verify(args) -> int:
     target = args.target
@@ -366,7 +233,6 @@ def cmd_verify(args) -> int:
         budget = 500 if target == "all" else 10 ** 6
     elif budget < 0:
         raise UsageError(f"--budget must be non-negative, got {budget}")
-    reports: list[tuple[str, Report]] = []
 
     def run_one(label, thunk):
         # every input is validated before any instance runs, so a
@@ -376,49 +242,27 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             return Report(label, {}, 0, "fail", str(exc))
 
-    def run_rows(rows):
-        todo = [(label, thunk) for label, cost, thunk in rows
-                if cost <= budget or args.force]
-        reports.extend((label, run_one(label, thunk)) for label, thunk in todo)
-        return len(rows) - len(todo)
-
     def require_rank(rank):
         # rank 1 has no nodes, so every element check would pass vacuously
         if rank < 2:
             raise UsageError(f"verify {target} needs rank at least 2, "
                              f"got {rank}")
 
-    def require_within_budget(rows):
-        # an explicitly requested instance over budget is an error, not a
-        # silent skip; suites skip instead
-        if not args.force:
-            for label, cost, _ in rows:
-                if cost > budget:
-                    raise UsageError(
-                        f"{label} enumerates {cost} > budget {budget}; "
-                        f"raise --budget or pass --force")
-        return rows
-
     if target == "goldens":
-        skipped = run_rows([(f"golden {name}", 0, check)
-                            for name, check in GOLDENS])
+        rows = SUITES["goldens"]()
     elif target == "all":
-        skipped = run_rows(_suite_rows(args))
-    elif target in ("agree", "corollary", "commute", "dual", "counting"):
-        fn = {"agree": verify_agreement, "corollary": verify_corollary,
-              "commute": verify_commutation,
-              "dual": verify_dual_implementation,
-              "counting": verify_counting}[target]
+        rows = suite_rows()
+    elif target in MATRIX_VERIFIERS:
         if args.n is None or args.m is None:
             raise UsageError(f"verify {target} needs --n and --m")
         _check_matrix_size(args.n, args.m, args.N)
-        guard = {} if target == "counting" else {"budget": budget,
-                                                 "force": args.force}
-        ns = [args.N] if args.N is not None else range(0, args.n * args.m + 1)
-        skipped = run_rows(require_within_budget([
-            (f"{target} n={args.n} m={args.m} N={N}", comb(args.n * args.m, N),
-             lambda N=N: fn(args.n, args.m, N, **guard))
-            for N in ns]))
+        rows = target_rows(target, args.n, args.m, args.N, budget, args.force)
+        # an explicitly requested instance over budget is an error, not a
+        # silent skip; suites skip instead
+        for label, cost, _ in rows:
+            if cost > budget and not args.force:
+                raise UsageError(f"{label} enumerates {cost} > budget {budget}; "
+                                 f"raise --budget or pass --force")
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")
@@ -426,20 +270,17 @@ def cmd_verify(args) -> int:
         shape = parse_partition(args.shape)
         if len(shape) > args.rank:
             raise UsageError(f"shape {args.shape} has more than {args.rank} rows")
-        skipped = run_rows([
-            (f"bk rank={args.rank} shape={args.shape}", 1,
-             lambda: check_cgp_homomorphism(shape, args.rank))])
-    elif target in ("cactus", "braid", "xi", "axioms"):
+        rows = bk_rows(shape, args.rank, args.shape)
+    elif target in MODEL_VERIFIERS:
         crystal, elements = _selected_model(args)
         require_rank(crystal.rank)
-        fn = {"cactus": verify_cactus_relations,
-              "braid": verify_reduced_braid,
-              "xi": verify_involution_properties,
-              "axioms": check_crystal_axioms}[target]
-        skipped = run_rows([(f"{target} {args.model}", len(elements),
-                             lambda: fn(crystal, elements))])
+        rows = model_rows(target, args.model, crystal, elements)
     else:
         raise UsageError(f"unknown verify target {target!r}")
+    todo = [(label, thunk) for label, cost, thunk in rows
+            if cost <= budget or args.force]
+    skipped = len(rows) - len(todo)
+    reports = [(label, run_one(label, thunk)) for label, thunk in todo]
 
     failures = 0
     for label, rep in reports:

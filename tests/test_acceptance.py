@@ -6,25 +6,21 @@ lines and timings.
 
 import time
 
-from glcrystals.base import partitions_in_box, schur_bruteforce
 from glcrystals.cactus import (verify_cactus_relations, verify_reduced_braid,
                                word)
-from glcrystals.core import (character, kashiwara_reflection,
-                             verify_involution_properties)
+from glcrystals.core import kashiwara_reflection, verify_involution_properties
 from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2,
                                 MATRIX_A_Q, MATRIX_A_S12, PATTERN_A,
                                 PATTERN_A_Q2, TABLEAU_A, TABLEAU_A_S12,
                                 TABLEAU_P, TABLEAU_P_CE2, TABLEAU_Q)
-from glcrystals.gt import (beta, bk_move, bk_q, check_cgp_homomorphism,
-                           gt_to_tableau, patterns_with_top)
+from glcrystals.gt import beta, bk_move, bk_q, gt_to_tableau, patterns_with_top
 from glcrystals.matrices import (Ce, bit_matrices, fundamental_crystal,
                                  matrix_col_crystal, matrix_row_crystal,
-                                 subsets, verify_commutation,
-                                 verify_dual_implementation)
+                                 subsets)
 from glcrystals.skewhowe import (cf_max, duality_iso, inner_on_cols,
                                  inner_on_rows, outer_on_cols, outer_on_rows,
-                                 phi_map, psi_map, re_max, verify_agreement,
-                                 verify_corollary, verify_counting)
+                                 phi_map, psi_map, re_max)
+from glcrystals.suites import SUITES, matrix_sizes, tableau_shapes
 from glcrystals.tableaux import apply_e, enumerate_b_lambda, tableau_crystal
 from glcrystals.tensor import tensor_crystal
 
@@ -42,13 +38,19 @@ def _elapsed(fn):
 
 
 def _dims_up_to(max_cells):
-    return [(n, m) for n in range(1, max_cells + 1)
-            for m in range(1, max_cells + 1) if n * m <= max_cells]
+    """The (n, m) of the registry's matrix sizes, in order."""
+    return list(dict.fromkeys((n, m) for n, m, _ in matrix_sizes(max_cells)))
 
 
-def _shapes(rank, max_boxes):
-    for size in range(max_boxes + 1):
-        yield from partitions_in_box(rank, size, size)
+def _run_suites(*names):
+    """Run every row of the named registry suites; the summed checks."""
+    checked = 0
+    for name in names:
+        for label, _, thunk in SUITES[name]():
+            rep = thunk()
+            assert rep.ok, (label, rep.witness)
+            checked += rep.checked
+    return checked
 
 
 def test_c01_gt_golden():
@@ -102,12 +104,7 @@ def test_c04_theorem_goldens():
 
 def test_c05_agreement_exhaustive():
     start = time.perf_counter()
-    checked = 0
-    for n, m in _dims_up_to(12):
-        for N in range(n * m + 1):
-            rep = verify_agreement(n, m, N)
-            assert rep.ok, (n, m, N, rep.witness)
-            checked += rep.checked
+    checked = _run_suites("agree")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"sweep took {elapsed:.1f} s"
     print(f"ACCEPTANCE 05 agreement exhaustive: PASS "
@@ -115,37 +112,22 @@ def test_c05_agreement_exhaustive():
 
 
 def test_c06_corollary_exhaustive():
-    checked = 0
-    for n, m in _dims_up_to(12):
-        for N in range(n * m + 1):
-            rep = verify_corollary(n, m, N)
-            assert rep.ok, (n, m, N, rep.witness)
-            checked += rep.checked
+    checked = _run_suites("corollary")
     print(f"ACCEPTANCE 06 corollary exhaustive: PASS ({checked} checks)")
 
 
 def test_c07_commuting_structures():
-    checked = 0
-    for n, m in _dims_up_to(12):
-        for N in range(n * m + 1):
-            rep = verify_commutation(n, m, N)
-            assert rep.ok, (n, m, N, rep.witness)
-            checked += rep.checked
-            rep = verify_dual_implementation(n, m, N)
-            assert rep.ok, (n, m, N, rep.witness)
-            checked += rep.checked
+    checked = _run_suites("commute", "dual")
     print(f"ACCEPTANCE 07 commuting structures: PASS ({checked} checks)")
 
 
 def test_c08_cactus_relations():
     checked = 0
-    for rank in (2, 3, 4):
-        crystal = tableau_crystal(rank)
-        for shape in _shapes(rank, 6):
-            rep = verify_cactus_relations(crystal,
-                                          enumerate_b_lambda(shape, rank))
-            assert rep.ok, (rank, shape, rep.witness)
-            checked += rep.checked
+    for rank, shape in tableau_shapes():
+        rep = verify_cactus_relations(tableau_crystal(rank),
+                                      enumerate_b_lambda(shape, rank))
+        assert rep.ok, (rank, shape, rep.witness)
+        checked += rep.checked
     for n, m in _dims_up_to(9):
         elements = [M for N in range(n * m + 1)
                     for M in bit_matrices(n, m, N)]
@@ -158,11 +140,8 @@ def test_c08_cactus_relations():
 
 def test_c09_braid_and_weight_reflections():
     checked = 0
-    instances = []
-    for rank in (2, 3, 4):
-        for shape in _shapes(rank, 6):
-            instances.append((tableau_crystal(rank),
-                              enumerate_b_lambda(shape, rank)))
+    instances = [(tableau_crystal(rank), enumerate_b_lambda(shape, rank))
+                 for rank, shape in tableau_shapes()]
     for n, m in _dims_up_to(9):
         elements = [M for N in range(n * m + 1)
                     for M in bit_matrices(n, m, N)]
@@ -185,36 +164,21 @@ def test_c09_braid_and_weight_reflections():
 
 def test_c10_pattern_toggles():
     checked = 0
-    for rank in (2, 3, 4):
-        for shape in _shapes(rank, 6):
-            pool = list(patterns_with_top(shape, rank))
-            for x in pool:
-                for j in range(1, rank):
-                    moved = bk_move(x, j)
-                    assert bk_move(moved, j) == x
-                    expect = list(beta(x))
-                    expect[j - 1], expect[j] = expect[j], expect[j - 1]
-                    assert beta(moved) == tuple(expect)
-                    checked += 2
-            rep = check_cgp_homomorphism(shape, rank)
-            assert rep.ok, (rank, shape, rep.witness)
-            checked += rep.checked
+    for rank, shape in tableau_shapes():
+        for x in patterns_with_top(shape, rank):
+            for j in range(1, rank):
+                moved = bk_move(x, j)
+                assert bk_move(moved, j) == x
+                expect = list(beta(x))
+                expect[j - 1], expect[j] = expect[j], expect[j - 1]
+                assert beta(moved) == tuple(expect)
+                checked += 2
+    checked += _run_suites("bk")
     print(f"ACCEPTANCE 10 pattern toggles: PASS ({checked} checks)")
 
 
 def test_c11_oracle_equivalence():
-    checked = 0
-    for rank in (2, 3, 4):
-        crystal = tableau_crystal(rank)
-        for shape in _shapes(rank, 6):
-            elements = enumerate_b_lambda(shape, rank, cross_check=True)
-            assert character(crystal, elements) == schur_bruteforce(shape, rank)
-            checked += len(elements)
-    for n in (2, 3, 4):
-        for m in (2, 3, 4):
-            for N in range(n * m + 1):
-                assert verify_counting(n, m, N).ok
-                checked += 1
+    checked = _run_suites("oracle", "counting")
     print(f"ACCEPTANCE 11 oracle equivalence: PASS ({checked} checks)")
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from glcrystals import gt, tableaux
 from glcrystals.cli import run
 from glcrystals.core import Report
 
@@ -60,6 +63,18 @@ def test_act_gt(tmp_path, capsys):
     assert rows == [[5, 3, 3, 1], [4, 3, 1], [3, 2], [2]]
 
 
+@pytest.mark.parametrize("word", ["", "s[1,3]", "s[1,2] s[2,4] s[1,4]"])
+def test_act_gt_matches_the_tableau_route(tmp_path, capsys, word):
+    rows = gt.gt_to_tableau(gt.from_json(X_JSON))
+    t_path = write(tmp_path, "t.json", json.loads(tableaux.to_json(rows, 4)))
+    assert run(["act", "--model", "tableau", "--word", word,
+                "--in", t_path]) == 0
+    acted, _ = tableaux.from_json(capsys.readouterr().out)
+    assert run(["act", "--model", "gt", "--word", word,
+                "--in", write(tmp_path, "x.json", X_JSON)]) == 0
+    assert capsys.readouterr().out == gt.to_json(gt.tableau_to_gt(acted, 4)) + "\n"
+
+
 def test_gt_moves_match_inner(tmp_path, capsys):
     path = write(tmp_path, "x.json", X_JSON)
     assert run(["gt", "--in", path, "--moves", "t1 t2 t1"]) == 0
@@ -109,12 +124,12 @@ def test_verify_jobs_output_is_deterministic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import glcrystals.cli as cli
+    import glcrystals.suites as suites
 
     def failing():
         return Report("golden", {}, 1, "fail", "synthetic witness")
 
-    monkeypatch.setattr(cli, "GOLDENS", [("synthetic", failing)])
+    monkeypatch.setattr(suites, "GOLDENS", [("synthetic", failing)])
     assert run(["verify", "goldens"]) == 1
     assert "synthetic witness" in capsys.readouterr().out
 

@@ -1,0 +1,85 @@
+"""The instance registry: the `verify all` table is pinned, and every suite
+without a seeded fault elsewhere is shown able to fail."""
+
+import hashlib
+from collections import Counter
+from math import comb
+
+import pytest
+
+from glcrystals import cactus, core, gt, skewhowe, suites
+from glcrystals.base import pairing
+from glcrystals.suites import SUITES, suite_rows
+
+
+def test_verify_all_instance_table_is_pinned():
+    # count and sha256 of the ordered (label, cost) table of `verify all`:
+    # a changed instance, label, cost or order shows here
+    rows = suite_rows()
+    table = "\n".join(f"{label}\t{cost}" for label, cost, _ in rows)
+    assert len(rows) == 2070
+    assert sum(cost <= 500 for _, cost, _ in rows) == 1963
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "751dd39923b49838edd476bbbd448136ee77259f8e755d274361d3f49c7ee992")
+
+
+def _identity_block(B):
+    return B
+
+
+def _non_involutive_xi(crystal, b, nodes):
+    """Lowers once at the first node instead of the involution."""
+    return crystal.f(nodes[0], b) or b
+
+
+def _reflection_one_step_short(crystal, b, i):
+    d = pairing(crystal.weight(b), i)
+    step = crystal.f if d >= 0 else crystal.e
+    for _ in range(abs(d) - 1):
+        b = step(i, b)
+    return b
+
+
+def _path_transport_is_identity(crystal, b, nodes, order="smallest"):
+    return b
+
+
+# suite -> (row label, module, attribute, fault)
+FAULTS = {
+    "agree": ("agree n=2 m=2 N=1", skewhowe, "_row_xi_by_transport",
+              _identity_block),
+    "corollary": ("corollary n=2 m=2 N=1", skewhowe, "_col_xi_by_transport",
+                  _identity_block),
+    "relations tableau": ("cactus+braid rank=2 shape=1", cactus,
+                          "schuetzenberger", _non_involutive_xi),
+    "relations matrix": ("cactus+braid matrix n=2 m=2 N=2", cactus,
+                         "kashiwara_reflection", _reflection_one_step_short),
+    "bk": ("bk rank=2 shape=1", gt, "bk_q", lambda x, i: x),
+    "oracle": ("oracle rank=2 shape=1", suites, "schur_bruteforce",
+               lambda shape, rank: Counter()),
+    "counting": ("counting n=2 m=2 N=1", skewhowe, "comb",
+                 lambda a, b: comb(a, b) + 1),
+    "xi matrix": ("xi matrix n=1 m=2 N=1", core, "schuetzenberger_by_path",
+                  _path_transport_is_identity),
+    "xi tableau": ("xi tableau rank=3 shape=2,1", core,
+                   "schuetzenberger_by_path", _path_transport_is_identity),
+}
+
+
+def _row(suite, label):
+    thunks = {row_label: thunk for row_label, _, thunk in SUITES[suite]()}
+    return thunks[label]
+
+
+@pytest.mark.parametrize("suite", sorted(FAULTS))
+def test_suite_fails_on_a_seeded_fault(monkeypatch, suite):
+    label, module, attribute, fault = FAULTS[suite]
+    thunk = _row(suite, label)
+    assert thunk().ok
+    monkeypatch.setattr(module, attribute, fault)
+    rep = thunk()
+    assert rep.status == "fail" and rep.witness
+    monkeypatch.undo()
+    # the fault leaves nothing behind: every suite's row passes again
+    for other, (other_label, *_) in FAULTS.items():
+        assert _row(other, other_label)().ok, other
