@@ -95,8 +95,6 @@ def _emit(args, text: str) -> None:
 
 def cmd_graph(args) -> int:
     crystal, elements = _selected_model(args)
-    if args.format != "dot":
-        raise UsageError("graph output is DOT; use --format dot")
     _emit(args, export_graph(crystal, elements))
     return 0
 
@@ -257,12 +255,6 @@ def cmd_verify(args) -> int:
             raise UsageError(f"verify {target} needs --n and --m")
         _check_matrix_size(args.n, args.m, args.N)
         rows = target_rows(target, args.n, args.m, args.N, budget, args.force)
-        # an explicitly requested instance over budget is an error, not a
-        # silent skip; suites skip instead
-        for label, cost, _ in rows:
-            if cost > budget and not args.force:
-                raise UsageError(f"{label} enumerates {cost} > budget {budget}; "
-                                 f"raise --budget or pass --force")
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")
@@ -277,6 +269,13 @@ def cmd_verify(args) -> int:
         rows = model_rows(target, args.model, crystal, elements)
     else:
         raise UsageError(f"unknown verify target {target!r}")
+    # an explicitly requested instance over budget is an error, not a silent
+    # skip; suites skip instead
+    if target != "all" and not args.force:
+        for label, cost, _ in rows:
+            if cost > budget:
+                raise UsageError(f"{label} enumerates {cost} > budget {budget}; "
+                                 f"raise --budget or pass --force")
     todo = [(label, thunk) for label, cost, thunk in rows
             if cost <= budget or args.force]
     skipped = len(rows) - len(todo)

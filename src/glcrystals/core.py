@@ -36,13 +36,11 @@ class Crystal:
         self._xi_cache: dict = {}
         self._component_cache: dict = {}
         # One edge record per element value, shared by the walks of every
-        # node set: record[0] is the one object the memos keep for that
-        # value, and record[s] / record[s + 1], with s = _slots[j] given to
-        # node j the first time a walk uses it, hold e_j / f_j of it: None
-        # (no edge), the record of the result, or _UNFILLED until a walk
-        # first needs them.
+        # interval, of length 2 * rank - 1: record[0] is the one object the
+        # memos keep for that value, and record[2j - 1] / record[2j] hold
+        # e_j / f_j of it: None (no edge), the record of the result, or
+        # _UNFILLED until a walk first needs them.
         self._edges: dict = {}
-        self._slots: dict = {}
 
     # -- required model surface ------------------------------------------
     def weight(self, b) -> Weight:
@@ -125,28 +123,27 @@ def _passed(name, instance, checked) -> Report:
 def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     """One BFS from b over the e/f edges coloured by `nodes`.
 
-    Reads each edge from the model's edge records and calls e_j or f_j only
-    on a slot no earlier walk filled, so over all node sets every (element,
-    node, direction) costs one operator call; every result is replaced by
-    the canonical object of its value.  Notes each element without an e or
-    an f edge as it goes, memoizes the component for all of its elements and
-    returns (component, record of its highest, record of its lowest).  A
-    component without exactly one highest-weight and one lowest-weight
-    element means the model is broken, and raises.
+    Reads e_j / f_j of each element from slots 2j - 1 / 2j of its edge
+    record and calls the operator only on a slot no earlier walk filled, so
+    over all intervals every (element, node, direction) costs one operator
+    call; every result is replaced by the canonical object of its value.
+    Notes each element without an e or an f edge as it goes, memoizes the
+    component for all of its elements and returns (component, record of its
+    highest, record of its lowest).  A component without exactly one
+    highest-weight and one lowest-weight element means the model is broken,
+    and raises.
     """
-    slots = crystal._slots
-    for j in nodes:
-        if j not in slots:
-            slots[j] = 2 * len(slots) + 1
-    width = 2 * len(slots) + 1
-    steps = [(j, slots[j]) for j in nodes]
+    if nodes and not 1 <= min(nodes) <= max(nodes) < crystal.rank:
+        raise ValueError(f"nodes {nodes} out of range 1..{crystal.rank - 1}")
+    blank = [_UNFILLED] * (2 * crystal.rank - 2)
+    steps = [(j, 2 * j - 1) for j in nodes]
     edges = crystal._edges
     e, f = crystal.e, crystal.f
 
     def record(x):
         rec = edges.get(x)
         if rec is None:
-            rec = edges[x] = [x]
+            rec = edges[x] = [x, *blank]
         return rec
 
     first = record(b)
@@ -156,8 +153,6 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     lows = []
     while frontier:
         rec = frontier.pop()
-        if len(rec) < width:
-            rec.extend([_UNFILLED] * (width - len(rec)))
         x = rec[0]
         raised = lowered = False
         for j, s in steps:
@@ -290,8 +285,7 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         if hit is not None:
             return hit
     comp, top, low = _walk(crystal, b, nodes)
-    slots = crystal._slots
-    twisted = [(slots[j], slots[theta_on_nodes(nodes, j)]) for j in nodes]
+    twisted = [(2 * j - 1, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
     xi = {id(top): low}
     filled = [top]
     for x in filled:
@@ -353,7 +347,7 @@ def kashiwara_reflection(crystal: Crystal, b, i: int):
     return x
 
 
-def check_crystal_axioms(crystal: Crystal, elements, nodes=None) -> Report:
+def check_crystal_axioms(crystal: Crystal, elements) -> Report:
     """Verify the defining axioms on a finite element set:
 
     - f_i(b) = c exactly when e_i(c) = b,
@@ -361,7 +355,7 @@ def check_crystal_axioms(crystal: Crystal, elements, nodes=None) -> Report:
     - eps/phi equal the counts of repeated applications,
     - phi - eps equals the coroot pairing of the weight.
     """
-    nodes = tuple(nodes) if nodes is not None else crystal.nodes()
+    nodes = crystal.nodes()
     instance = {"rank": crystal.rank, "size": len(elements)}
     checked = 0
     for b in elements:
@@ -411,13 +405,8 @@ def verify_involution_properties(crystal: Crystal, elements) -> Report:
     """
     instance = {"rank": crystal.rank, "size": len(elements)}
     checked = 0
-    k = crystal.rank
-    all_nodes = []
-    for p in range(1, k):
-        for q in range(p + 1, k + 1):
-            all_nodes.append(tuple(range(p, q)))
-    for nodes in all_nodes:
-        p, q = nodes[0], nodes[-1] + 1
+    for g in intervals(crystal.rank):
+        p, q, nodes = g.p, g.q, g.nodes
         for b in elements:
             checked += 1
             xb = schuetzenberger(crystal, b, nodes)
@@ -471,7 +460,7 @@ def verify_local_involution(crystal: Crystal, elements) -> Report:
     return _passed("local-involution", instance, checked)
 
 
-def is_morphism(f_map, dom: Crystal, cod: Crystal, elements, nodes=None) -> Report:
+def is_morphism(f_map, dom: Crystal, cod: Crystal, elements) -> Report:
     """Check that an element map is a crystal morphism on `elements`.
 
     f_map returns None for the distinguished absent value; conditions apply
@@ -480,7 +469,7 @@ def is_morphism(f_map, dom: Crystal, cod: Crystal, elements, nodes=None) -> Repo
     """
     if dom.rank != cod.rank:
         raise ValueError("morphism endpoints must share a rank")
-    nodes = tuple(nodes) if nodes is not None else dom.nodes()
+    nodes = dom.nodes()
     instance = {"rank": dom.rank, "size": len(elements)}
     checked = 0
     for b in elements:
@@ -512,14 +501,14 @@ def is_morphism(f_map, dom: Crystal, cod: Crystal, elements, nodes=None) -> Repo
     return _passed("morphism", instance, checked)
 
 
-def export_graph(crystal: Crystal, elements, nodes=None) -> str:
+def export_graph(crystal: Crystal, elements) -> str:
     """DOT text for the coloured graph on `elements`.
 
     Vertex ids are canonical element strings in lexicographic order; each
     lowering edge b -> f_i(b) carries color=i.  Output is byte-stable for a
     fixed input.
     """
-    nodes = tuple(nodes) if nodes is not None else crystal.nodes()
+    nodes = crystal.nodes()
     named = sorted((crystal.canon(b), b) for b in elements)
     lines = ["digraph crystal {"]
     for name, b in named:

@@ -44,10 +44,6 @@ def dims(M: Matrix) -> tuple[int, int]:
     return len(M), len(M[0])
 
 
-def ones(M: Matrix) -> int:
-    return sum(sum(row) for row in M)
-
-
 def bit_matrices(n: int, m: int, N: int):
     """All n x m 0/1 matrices with exactly N ones, in a fixed order."""
     for support in combinations(range(n * m), N):

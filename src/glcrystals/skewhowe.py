@@ -13,12 +13,12 @@ through the same pair.
 from dataclasses import dataclass
 from math import comb
 
-from .base import (DynkinInterval, Partition, partition, partitions_in_box,
-                   ssyt_fillings, transpose)
+from .base import (DynkinInterval, Partition, intervals, partition,
+                   partitions_in_box, ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
 from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
-from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, bit_matrices,
-                       check_budget, dims, matrix_col_crystal,
+from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
+                       bit_matrices, check_budget, dims, matrix_col_crystal,
                        matrix_row_crystal)
 from .tableaux import Rows, evacuate, shape_of, ssyt
 
@@ -308,18 +308,16 @@ def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     col_model = matrix_col_crystal(n, m)
-    gens = [(p, q, CactusWord(n, (DynkinInterval(p, q, n),)), tuple(range(p, q)))
-            for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    gens = [(g, CactusWord(n, (g,))) for g in intervals(n)]
     checked = 0
     for M in bit_matrices(n, m, N):
-        for p, q, w, nodes in gens:
+        for g, w in gens:
             checked += 1
             outer = _outer_rows(M, w, _row_xi_by_transport)
-            inner = schuetzenberger(col_model, M, nodes)
+            inner = schuetzenberger(col_model, M, g.nodes)
             if outer != inner:
-                flat = "".join(str(v) for row in M for v in row)
                 return Report("agreement", instance, checked, "fail",
-                              f"s[{p},{q}] outer != inner at {flat}")
+                              f"{g} outer != inner at {_flat(M)}")
     return Report("agreement", instance, checked, "pass")
 
 
@@ -333,10 +331,9 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     checked = 0
-    gens_m = [(p, q,
-               CactusWord(m, (DynkinInterval(p, q, m),)),
-               CactusWord(m, (DynkinInterval(m + 1 - q, m + 1 - p, m),)))
-              for p in range(1, m + 1) for q in range(p + 1, m + 1)]
+    gens_m = [(g, CactusWord(m, (g,)),
+               CactusWord(m, (DynkinInterval(m + 1 - g.q, m + 1 - g.p, m),)))
+              for g in intervals(m)]
     for M in bit_matrices(m, n, N):
         R = rotate90(M)
         for i in range(1, m):
@@ -346,24 +343,22 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
                 rhs = rop(R, i)
                 if (lhs is None) != (rhs is None) or \
                         (lhs is not None and rotate90(lhs) != rhs):
-                    flat = "".join(str(v) for row in M for v in row)
                     return Report("corollary", instance, checked, "fail",
-                                  f"rotation does not intertwine {tag} at {i}, {flat}")
-        for p, q, w, _ in gens_m:
+                                  f"rotation does not intertwine {tag} at {i}, "
+                                  f"{_flat(M)}")
+        for g, w, _ in gens_m:
             checked += 1
             if rotate90(inner_on_cols(M, w)) != inner_on_rows(R, w):
-                flat = "".join(str(v) for row in M for v in row)
                 return Report("corollary", instance, checked, "fail",
-                              f"rotation does not intertwine inner s[{p},{q}] at {flat}")
+                              f"rotation does not intertwine inner {g} at {_flat(M)}")
     for N_mat in bit_matrices(n, m, N):
-        for p, q, inner_w, outer_w in gens_m:
+        for g, inner_w, outer_w in gens_m:
             checked += 1
             outer = _outer_cols(N_mat, outer_w, _col_xi_by_transport)
             if outer != inner_on_rows(N_mat, inner_w):
-                flat = "".join(str(v) for row in N_mat for v in row)
                 return Report("corollary", instance, checked, "fail",
-                              f"s[{m + 1 - q},{m + 1 - p}] outer on columns != "
-                              f"inner s[{p},{q}] at {flat}")
+                              f"{outer_w} outer on columns != "
+                              f"inner {g} at {_flat(N_mat)}")
     return Report("corollary", instance, checked, "pass")
 
 

@@ -146,8 +146,10 @@ def target_rows(target: str, n: int, m: int, N: int | None, budget: int,
 
 
 def bk_rows(shape, rank: int, spelling: str) -> list:
-    """The row of `verify bk`, labelled with the caller's shape spelling."""
-    return [(f"bk rank={rank} shape={spelling}", 1,
+    """The row of `verify bk`, labelled with the caller's shape spelling and
+    costing its pattern count, as in `verify all`."""
+    return [(f"bk rank={rank} shape={spelling}",
+             _count(patterns_with_top)(shape, rank),
              partial(check_cgp_homomorphism, shape, rank))]
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,17 @@ def test_explicit_instance_over_budget_is_an_error(capsys):
     assert run(["verify", "agree", "--n", "3", "--m", "3",
                 "--budget", "50", "--force"]) == 0
     capsys.readouterr()
+    # the model targets and bk follow the same rule; bk costs its pattern
+    # count, as its rows in `verify all` do
+    xi = ["verify", "xi", "--model", "tableau", "--rank", "3", "--shape", "2,1",
+          "--budget", "3"]
+    bk = ["verify", "bk", "--rank", "4", "--shape", "3,2,1", "--budget", "1"]
+    for argv in (xi, bk):
+        assert run(argv) == 2
+        assert "--force" in capsys.readouterr().err
+        assert run(argv + ["--force"]) == 0
+        out = capsys.readouterr().out
+    assert "PASS bk rank=4 shape=3,2,1 (checked=384)" in out
 
 
 def test_character_output(capsys):
@@ -212,3 +227,16 @@ def test_out_file(tmp_path):
     assert run(["graph", "--model", "tableau", "--rank", "2", "--shape", "1",
                 "--out", str(target)]) == 0
     assert target.read_text().count("->") == 1
+
+
+def test_module_entry_point_exits_with_the_verify_status():
+    # main() and `python -m glcrystals.cli`, which run() alone does not reach
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "glcrystals.cli", "verify",
+                           "goldens"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS golden ") for line in lines) == 7
+    assert lines[-1] == "7/7 passed"

@@ -188,6 +188,19 @@ def test_memo_hits_call_no_operator_and_add_no_table():
     assert tables() == before
 
 
+def test_walks_refuse_nodes_outside_the_diagram():
+    # node j's edges sit at record slots 2j - 1 / 2j, so a node outside
+    # 1..rank-1 would read another node's slot, or the element itself
+    crystal = _CountingTableaux(3)
+    b = ssyt([[1, 2], [3]], 3)
+    schuetzenberger(crystal, b, (1, 2))  # fills every slot of the component
+    for nodes in ((0,), (-1,), (0, 1), (2, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            component(crystal, b, nodes)
+        with pytest.raises(ValueError, match="out of range"):
+            schuetzenberger(crystal, b, nodes)
+
+
 def test_every_interval_walk_shares_one_operator_call_per_triple():
     crystal = _CountingTableaux(4)  # fresh model, empty memo
     elements = enumerate_b_lambda((2, 1), 4)

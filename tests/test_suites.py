@@ -3,12 +3,14 @@ without a seeded fault elsewhere is shown able to fail."""
 
 import hashlib
 from collections import Counter
+from functools import partial
 from math import comb
 
 import pytest
 
 from glcrystals import cactus, core, gt, skewhowe, suites
 from glcrystals.base import pairing
+from glcrystals.matrices import bit_matrices, matrix_col_crystal
 from glcrystals.suites import SUITES, suite_rows
 
 
@@ -83,3 +85,39 @@ def test_suite_fails_on_a_seeded_fault(monkeypatch, suite):
     # the fault leaves nothing behind: every suite's row passes again
     for other, (other_label, *_) in FAULTS.items():
         assert _row(other, other_label)().ok, other
+
+
+
+# verifier call -> (module, attribute, fault(real, *args), first failure);
+# each fault acts as the identity past the first interval only, so the
+# checked count and witness pin the order in which the verifier walks the
+# intervals
+INTERVAL_ORDER = {
+    "agreement": (lambda: skewhowe.verify_agreement(4, 2, 3), skewhowe,
+                  "_row_xi_by_transport",
+                  lambda real, B: B if len(B) >= 3 else real(B),
+                  (2, "s[1,3] outer != inner at 11100000")),
+    "corollary": (lambda: skewhowe.verify_corollary(2, 3, 3), skewhowe,
+                  "_col_xi_by_transport",
+                  lambda real, B: B if len(B[0]) >= 3 else real(B),
+                  (142, "s[1,3] outer on columns != inner s[1,3] at 111000")),
+    "cgp": (lambda: gt.check_cgp_homomorphism((2, 1), 3), gt, "bk_q",
+            lambda real, x, i: x if i >= 2 else real(x, i),
+            (9, "s[1,3] disagrees with q2 q2 q2 at ((2, 1, 0), (1, 0), (0,))")),
+    "involution": (
+        lambda: core.verify_involution_properties(
+            matrix_col_crystal(3, 2), list(bit_matrices(3, 2, 3))),
+        core, "schuetzenberger_by_path",
+        lambda real, crystal, b, nodes, order="smallest":
+            b if len(nodes) >= 2 else real(crystal, b, nodes, order),
+        (21, "path transport disagrees on (1, 2) at 111000")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_ORDER))
+def test_verifiers_walk_intervals_in_order(monkeypatch, name):
+    verify, module, attribute, fault, first_failure = INTERVAL_ORDER[name]
+    monkeypatch.setattr(module, attribute,
+                        partial(fault, getattr(module, attribute)))
+    rep = verify()
+    assert (rep.checked, rep.witness) == first_failure
