@@ -106,12 +106,12 @@ def weyl_image(w: CactusWord) -> Permutation:
 # ---------------------------------------------------------------------------
 # relation verifiers
 
-def _act_word(gens, crystal, b):
+def _act_word(node_sets, crystal, b):
     """Act by edge transport on purpose, not through `inner_act`: the
     relations are then checked on an involution computed independently of
     any local formula the model overrides `interval_involution` with."""
-    for g in gens:
-        b = schuetzenberger(crystal, b, g.nodes)
+    for nodes in node_sets:
+        b = schuetzenberger(crystal, b, nodes)
     return b
 
 
@@ -123,32 +123,31 @@ def verify_cactus_relations(crystal: Crystal, elements) -> Report:
     """
     instance = {"rank": crystal.rank, "size": len(elements)}
     gens = intervals(crystal.rank)
+    squares = [(g, (g.nodes, g.nodes)) for g in gens]
+    # (left word, right word, witness prefix) of every relation between two
+    # generators, in the order g, h of the nested loops over `gens`
+    pairs = []
+    for g in gens:
+        for h in gens:
+            if g.p <= h.p and h.q <= g.q and (g.p, g.q) != (h.p, h.q):
+                pairs.append(((g.nodes, h.nodes),
+                              (theta_interval(g, h).nodes, g.nodes),
+                              f"nested relation {g},{h} fails at "))
+            elif g.q < h.p or h.q < g.p:
+                pairs.append(((g.nodes, h.nodes), (h.nodes, g.nodes),
+                              f"disjoint generators {g},{h} do not commute at "))
     checked = 0
     for b in elements:
-        for g in gens:
+        for g, square in squares:
             checked += 1
-            if _act_word((g, g), crystal, b) != b:
+            if _act_word(square, crystal, b) != b:
                 return Report("cactus-relations", instance, checked, "fail",
                               f"{g} not an involution at {crystal.canon(b)}")
-        for g in gens:
-            for h in gens:
-                if g.p <= h.p and h.q <= g.q and (g.p, g.q) != (h.p, h.q):
-                    checked += 1
-                    lhs = _act_word((g, h), crystal, b)
-                    rhs = _act_word((theta_interval(g, h), g), crystal, b)
-                    if lhs != rhs:
-                        return Report(
-                            "cactus-relations", instance, checked, "fail",
-                            f"nested relation {g},{h} fails at {crystal.canon(b)}")
-                elif g.q < h.p or h.q < g.p:
-                    checked += 1
-                    lhs = _act_word((g, h), crystal, b)
-                    rhs = _act_word((h, g), crystal, b)
-                    if lhs != rhs:
-                        return Report(
-                            "cactus-relations", instance, checked, "fail",
-                            f"disjoint generators {g},{h} do not commute "
-                            f"at {crystal.canon(b)}")
+        for lhs, rhs, witness in pairs:
+            checked += 1
+            if _act_word(lhs, crystal, b) != _act_word(rhs, crystal, b):
+                return Report("cactus-relations", instance, checked, "fail",
+                              witness + crystal.canon(b))
     return Report("cactus-relations", instance, checked, "pass")
 
 

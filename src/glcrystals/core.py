@@ -30,6 +30,7 @@ class Crystal:
 
     def __init__(self, rank: int):
         self.rank = rank
+        self._nodes = tuple(range(1, rank))
         # memo caches, keyed by node tuple; values map element -> result.
         # Entries are pure values filled once per component and never
         # invalidated.
@@ -71,7 +72,7 @@ class Crystal:
         return n
 
     def nodes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.rank))
+        return self._nodes
 
     def interval_involution(self, b, nodes):
         """Schutzenberger involution of the restriction to `nodes`, as the

@@ -185,14 +185,13 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
     lam = partition(lam)
     instance = {"lam": list(lam), "n": n}
     model = tableau_crystal(n)
-    pool = list(patterns_with_top(lam, n))
+    pool = [(x, gt_to_tableau(x)) for x in patterns_with_top(lam, n)]
     checked = 0
     for g in intervals(n):
-        i, j = g.p, g.q
-        for x in pool:
+        i, j, nodes = g.p, g.q, g.nodes
+        for x, t in pool:
             checked += 1
-            via_crystal = tableau_to_gt(
-                schuetzenberger(model, gt_to_tableau(x), g.nodes), n)
+            via_crystal = tableau_to_gt(schuetzenberger(model, t, nodes), n)
             via_moves = x
             for q_index in (j - 1, j - i, j - 1):
                 via_moves = bk_q(via_moves, q_index)

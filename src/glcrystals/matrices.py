@@ -4,12 +4,12 @@ structures: reading the n rows as a tensor word gives a rank-m structure
 structure (the C operators).
 
 Each operator family is implemented twice on purpose: once through the
-generic tensor rule on the row/column word, and once through closed
-per-position formulas.  The two implementations are kept permanently as
-mutual oracles; verify_dual_implementation compares them exhaustively.  The
-closed formulas read each profile maximum in one running-sum scan; the
-tensor-rule twins (`Re_tensor` and the rest) and the `*_profile` lists stay
-the independent routes they are checked against.
+generic tensor rule on the row/column word (`row_structure`,
+`col_structure`), and once through closed per-position formulas.  The two
+implementations are kept permanently as mutual oracles;
+verify_dual_implementation compares them exhaustively.  The closed formulas
+read each profile maximum in one running-sum scan; the `*_profile` lists
+stay the per-position oracles they are checked against.
 """
 
 import json
@@ -366,33 +366,6 @@ def Cphi(M: Matrix, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tensor-rule twins of the four operators
-
-def Re_tensor(M: Matrix, i: int):
-    crystal, word = row_structure(M)
-    out = crystal.e(i, word)
-    return None if out is None else matrix_from_row_word(out)
-
-
-def Rf_tensor(M: Matrix, i: int):
-    crystal, word = row_structure(M)
-    out = crystal.f(i, word)
-    return None if out is None else matrix_from_row_word(out)
-
-
-def Ce_tensor(M: Matrix, j: int):
-    crystal, word = col_structure(M)
-    out = crystal.e(j, word)
-    return None if out is None else matrix_from_col_word(out)
-
-
-def Cf_tensor(M: Matrix, j: int):
-    crystal, word = col_structure(M)
-    out = crystal.f(j, word)
-    return None if out is None else matrix_from_col_word(out)
-
-
-# ---------------------------------------------------------------------------
 # crystal models
 
 class MatrixRowCrystal(Crystal):
@@ -530,8 +503,7 @@ def verify_commutation(n: int, m: int, N: int, budget: int = 10 ** 6,
 def verify_dual_implementation(n: int, m: int, N: int, budget: int = 10 ** 6,
                                force: bool = False) -> Report:
     """Closed formulas against the tensor rule, every operator and index,
-    every matrix.  The tensor structures are built once per matrix; the
-    `*_tensor` twins are the same route, one call at a time."""
+    every matrix.  The tensor structures are built once per matrix."""
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     checked = 0

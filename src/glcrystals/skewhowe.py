@@ -18,8 +18,8 @@ from .base import (DynkinInterval, Partition, intervals, partition,
 from .cactus import CactusWord, inner_act
 from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
-                       bit_matrices, check_budget, dims, matrix_col_crystal,
-                       matrix_row_crystal)
+                       bit_matrices, check_budget, col_word, dims,
+                       matrix_col_crystal, matrix_row_crystal)
 from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
@@ -197,41 +197,53 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # two independent routes, and `verify_agreement`/`verify_corollary` pass
 # transport for the block step, where the memo serves their sweeps.
 
+def _turn_rows(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
+    """One block step on the row word: turn rows lo..hi-1 (0-based) by half
+    a turn and apply `block_xi`, the full involution of the row structure
+    of that block."""
+    block = tuple([row[::-1] for row in reversed(M[lo:hi])])
+    return M[:lo] + block_xi(block) + M[hi:]
+
+
+def _turn_cols(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
+    """One block step on the reversed column word: turn columns lo..hi-1
+    (0-based) by half a turn and apply `block_xi`, the full involution of
+    the column structure of that block."""
+    block = block_xi(tuple([row[lo:hi][::-1] for row in reversed(M)]))
+    return tuple([row[:lo] + new + row[hi:] for row, new in zip(M, block)])
+
+
 def _outer_rows(M: Matrix, w: CactusWord, block_xi) -> Matrix:
-    """Outer action on the row word, with `block_xi` the full involution
-    of the row structure of a block of rows."""
+    """Outer action on the row word: generator s[p,q] is the block step on
+    rows p..q."""
     n = len(M)
     if w.rank != n:
         raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
     for g in w.generators:
-        p, q = g.p, g.q
-        block = tuple(row[::-1] for row in reversed(M[p - 1:q]))
-        M = M[:p - 1] + block_xi(block) + M[q:]
+        M = _turn_rows(M, g.p - 1, g.q, block_xi)
     return M
 
 
 def _outer_cols(M: Matrix, w: CactusWord, block_xi) -> Matrix:
-    """Outer action on the reversed column word, with `block_xi` the full
-    involution of the column structure of a block of columns."""
-    m = dims(M)[1]
+    """Outer action on the reversed column word: generator s[p,q] is the
+    block step on the matrix columns m-q..m-p (0-based)."""
+    m = len(M[0])
     if w.rank != m:
         raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
     for g in w.generators:
-        lo, hi = m - g.q, m - g.p + 1
-        block = block_xi(tuple(row[lo:hi][::-1] for row in reversed(M)))
-        M = tuple(row[:lo] + new + row[hi:] for row, new in zip(M, block))
+        M = _turn_cols(M, m - g.q, m - g.p + 1, block_xi)
     return M
 
 
 def _row_xi_by_transport(B: Matrix) -> Matrix:
     """Full involution of the row structure of B, by memoized transport."""
-    row = matrix_row_crystal(*dims(B))
+    row = matrix_row_crystal(len(B), len(B[0]))
     return schuetzenberger(row, B, row.nodes())
 
 
 def _col_xi_by_transport(B: Matrix) -> Matrix:
     """Full involution of the column structure of B, by memoized transport."""
-    col = matrix_col_crystal(*dims(B))
+    col = matrix_col_crystal(len(B), len(B[0]))
     return schuetzenberger(col, B, col.nodes())
 
 
@@ -290,16 +302,17 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
     return inner_act(w, matrix_col_crystal(n, m), M)
 
 
-def rotate90(M: Matrix) -> Matrix:
-    """Counterclockwise quarter turn: entry (j, c) lands at (r, j) where the
-    output row r counts from the last input column."""
-    rows, cols = dims(M)
-    return tuple(tuple(M[j][cols - 1 - r] for j in range(rows))
-                 for r in range(cols))
+# Counterclockwise quarter turn: entry (j, c) lands at (r, j) where the
+# output row r counts from the last input column, which is the reversed
+# column word read as a matrix.
+rotate90 = col_word
 
 
 # ---------------------------------------------------------------------------
 # verifiers
+#
+# The verifiers call `schuetzenberger` on models built once per call, and
+# the block step with the transport seams, which they look up at call time.
 
 def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
                      force: bool = False) -> Report:
@@ -308,14 +321,13 @@ def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     col_model = matrix_col_crystal(n, m)
-    gens = [(g, CactusWord(n, (g,))) for g in intervals(n)]
+    gens = [(g, g.p - 1, g.q, g.nodes) for g in intervals(n)]
     checked = 0
     for M in bit_matrices(n, m, N):
-        for g, w in gens:
+        for g, lo, hi, nodes in gens:
             checked += 1
-            outer = _outer_rows(M, w, _row_xi_by_transport)
-            inner = schuetzenberger(col_model, M, g.nodes)
-            if outer != inner:
+            outer = _turn_rows(M, lo, hi, _row_xi_by_transport)
+            if outer != schuetzenberger(col_model, M, nodes):
                 return Report("agreement", instance, checked, "fail",
                               f"{g} outer != inner at {_flat(M)}")
     return Report("agreement", instance, checked, "pass")
@@ -330,34 +342,40 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
     """
     check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
+    # m x n matrices with the C operators, their n x m quarter turns and
+    # the n x m matrices of the outer side with the R operators
+    col_model = matrix_col_crystal(m, n)
+    row_model = matrix_row_crystal(n, m)
+    steps = [(i, cop, rop, tag) for i in range(1, m)
+             for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf"))]
+    # the reflected interval s[m+1-q, m+1-p] spans the columns p-1..q-1
+    gens = [(g, g.nodes, DynkinInterval(m + 1 - g.q, m + 1 - g.p, m),
+             g.p - 1, g.q) for g in intervals(m)]
     checked = 0
-    gens_m = [(g, CactusWord(m, (g,)),
-               CactusWord(m, (DynkinInterval(m + 1 - g.q, m + 1 - g.p, m),)))
-              for g in intervals(m)]
     for M in bit_matrices(m, n, N):
-        R = rotate90(M)
-        for i in range(1, m):
-            for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf")):
-                checked += 1
-                lhs = cop(M, i)
-                rhs = rop(R, i)
-                if (lhs is None) != (rhs is None) or \
-                        (lhs is not None and rotate90(lhs) != rhs):
-                    return Report("corollary", instance, checked, "fail",
-                                  f"rotation does not intertwine {tag} at {i}, "
-                                  f"{_flat(M)}")
-        for g, w, _ in gens_m:
+        R = col_word(M)
+        for i, cop, rop, tag in steps:
             checked += 1
-            if rotate90(inner_on_cols(M, w)) != inner_on_rows(R, w):
+            lhs = cop(M, i)
+            rhs = rop(R, i)
+            if (lhs is None) != (rhs is None) or \
+                    (lhs is not None and col_word(lhs) != rhs):
+                return Report("corollary", instance, checked, "fail",
+                              f"rotation does not intertwine {tag} at {i}, "
+                              f"{_flat(M)}")
+        for g, nodes, _, _, _ in gens:
+            checked += 1
+            if col_word(schuetzenberger(col_model, M, nodes)) != \
+                    schuetzenberger(row_model, R, nodes):
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine inner {g} at {_flat(M)}")
     for N_mat in bit_matrices(n, m, N):
-        for g, inner_w, outer_w in gens_m:
+        for g, nodes, reflected, lo, hi in gens:
             checked += 1
-            outer = _outer_cols(N_mat, outer_w, _col_xi_by_transport)
-            if outer != inner_on_rows(N_mat, inner_w):
+            outer = _turn_cols(N_mat, lo, hi, _col_xi_by_transport)
+            if outer != schuetzenberger(row_model, N_mat, nodes):
                 return Report("corollary", instance, checked, "fail",
-                              f"{outer_w} outer on columns != "
+                              f"{reflected} outer on columns != "
                               f"inner {g} at {_flat(N_mat)}")
     return Report("corollary", instance, checked, "pass")
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+lines and timings.  The checked totals are pinned, so a sweep that drops or
+double-counts a check fails.
 """
 
 import time
@@ -107,17 +108,20 @@ def test_c05_agreement_exhaustive():
     checked = _run_suites("agree")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"sweep took {elapsed:.1f} s"
+    assert checked == 576012
     print(f"ACCEPTANCE 05 agreement exhaustive: PASS "
           f"({checked} checks, {elapsed:.1f} s)")
 
 
 def test_c06_corollary_exhaustive():
     checked = _run_suites("corollary")
+    assert checked == 1420736
     print(f"ACCEPTANCE 06 corollary exhaustive: PASS ({checked} checks)")
 
 
 def test_c07_commuting_structures():
     checked = _run_suites("commute", "dual")
+    assert checked == 798424
     print(f"ACCEPTANCE 07 commuting structures: PASS ({checked} checks)")
 
 
@@ -135,6 +139,7 @@ def test_c08_cactus_relations():
             rep = verify_cactus_relations(crystal, elements)
             assert rep.ok, (n, m, rep.witness)
             checked += rep.checked
+    assert checked == 875154
     print(f"ACCEPTANCE 08 cactus relations: PASS ({checked} checks)")
 
 
@@ -159,6 +164,7 @@ def test_c09_braid_and_weight_reflections():
                 expect[i - 1], expect[i] = expect[i], expect[i - 1]
                 assert flipped == tuple(expect)
                 checked += 1
+    assert checked == 95844
     print(f"ACCEPTANCE 09 braid and reflections: PASS ({checked} checks)")
 
 
@@ -174,11 +180,13 @@ def test_c10_pattern_toggles():
                 assert beta(moved) == tuple(expect)
                 checked += 2
     checked += _run_suites("bk")
+    assert checked == 13975
     print(f"ACCEPTANCE 10 pattern toggles: PASS ({checked} checks)")
 
 
 def test_c11_oracle_equivalence():
     checked = _run_suites("oracle", "counting")
+    assert checked == 1400
     print(f"ACCEPTANCE 11 oracle equivalence: PASS ({checked} checks)")
 
 
@@ -207,4 +215,5 @@ def test_c12_involution_properties():
         rep = verify_involution_properties(crystal, elements)
         assert rep.ok, (name, rep.witness)
         checked += rep.checked
+    assert checked == 27301
     print(f"ACCEPTANCE 12 involution properties: PASS ({checked} checks)")

@@ -1,5 +1,6 @@
 import pytest
 
+from glcrystals import cactus
 from glcrystals.base import (DynkinInterval, perm_apply_weight, perm_compose,
                              perm_identity)
 from glcrystals.cactus import (CactusWord, inner_act, outer_act, parse_word,
@@ -267,6 +268,20 @@ def test_relations_rank_two():
     rep = verify_cactus_relations(tableau_crystal(2),
                                   enumerate_b_lambda((2,), 2))
     assert rep.ok and rep.checked == 3  # only the involution, per element
+
+
+def test_nested_relation_reads_theta_at_call_time(monkeypatch):
+    # with the diagram involution replaced by the identity, the nested
+    # relation becomes plain commutation, which fails at the first nested
+    # pair s[1,3] > s[1,2]; the relation list is built on each call
+    monkeypatch.setattr(cactus, "theta_interval", lambda g, h: h)
+    rep = verify_cactus_relations(tableau_crystal(3),
+                                  enumerate_b_lambda((2, 1), 3))
+    assert (rep.checked, rep.witness) == (
+        4, "nested relation s[1,3],s[1,2] fails at 1,1/2")
+    rep = verify_cactus_relations(matrix_col_crystal(4, 2), all_matrices(4, 2))
+    assert (rep.checked, rep.witness) == (
+        25, "nested relation s[1,3],s[1,2] fails at 10000000")
 
 
 def test_braid_small():

@@ -256,6 +256,24 @@ def test_rotate90_index_identity():
             assert R[k - 1][j - 1] == M[j - 1][cols - k]
 
 
+def test_rotate90_is_the_column_word_and_matches_the_index_oracle():
+    # the index comprehension rotate90 was written as, checked on every
+    # matrix with nm <= 10
+    def rotate90_oracle(M):
+        rows, cols = dims(M)
+        return tuple(tuple(M[j][cols - 1 - r] for j in range(rows))
+                     for r in range(cols))
+
+    assert rotate90 is matrices.col_word
+    cases = 0
+    for n, m in all_small_dims(10):
+        for N in range(n * m + 1):
+            for M in bit_matrices(n, m, N):
+                cases += 1
+                assert rotate90(M) == rotate90_oracle(M)
+    assert cases == 7306
+
+
 # ---------------------------------------------------------------------------
 # agreement and its rotated form
 

@@ -101,6 +101,11 @@ INTERVAL_ORDER = {
                   "_col_xi_by_transport",
                   lambda real, B: B if len(B[0]) >= 3 else real(B),
                   (142, "s[1,3] outer on columns != inner s[1,3] at 111000")),
+    "corollary rank 4": (
+        lambda: skewhowe.verify_corollary(2, 4, 3), skewhowe,
+        "_col_xi_by_transport",
+        lambda real, B: B if len(B[0]) >= 3 else real(B),
+        (674, "s[2,4] outer on columns != inner s[1,3] at 11100000")),
     "cgp": (lambda: gt.check_cgp_homomorphism((2, 1), 3), gt, "bk_q",
             lambda real, x, i: x if i >= 2 else real(x, i),
             (9, "s[1,3] disagrees with q2 q2 q2 at ((2, 1, 0), (1, 0), (0,))")),
@@ -111,6 +116,13 @@ INTERVAL_ORDER = {
         lambda real, crystal, b, nodes, order="smallest":
             b if len(nodes) >= 2 else real(crystal, b, nodes, order),
         (21, "path transport disagrees on (1, 2) at 111000")),
+    "involution rank 4": (
+        lambda: core.verify_involution_properties(
+            matrix_col_crystal(4, 2), list(bit_matrices(4, 2, 3))),
+        core, "schuetzenberger_by_path",
+        lambda real, crystal, b, nodes, order="smallest":
+            b if len(nodes) >= 2 else real(crystal, b, nodes, order),
+        (57, "path transport disagrees on (1, 2) at 11100000")),
 }
 
 
