@@ -148,14 +148,6 @@ def perm_compose(after: Permutation, before: Permutation) -> Permutation:
     return tuple(after[b - 1] for b in before)
 
 
-def perm_apply_weight(perm: Permutation, w: Weight) -> Weight:
-    """Permute coordinates: position i is sent to position perm[i]."""
-    out = [0] * len(w)
-    for i, v in enumerate(w):
-        out[perm[i] - 1] = v
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # brute-force Schur oracle (no crystal code involved)
 

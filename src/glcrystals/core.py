@@ -33,7 +33,8 @@ class Crystal:
         self._nodes = tuple(range(1, rank))
         # memo caches, keyed by node tuple; values map element -> result.
         # Entries are pure values filled once per component and never
-        # invalidated.
+        # invalidated: `schuetzenberger` fills the involution table and
+        # `component` alone fills the component table.
         self._xi_cache: dict = {}
         self._component_cache: dict = {}
         # One edge record per element value, shared by the walks of every
@@ -128,11 +129,11 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     record and calls the operator only on a slot no earlier walk filled, so
     over all intervals every (element, node, direction) costs one operator
     call; every result is replaced by the canonical object of its value.
-    Notes each element without an e or an f edge as it goes, memoizes the
-    component for all of its elements and returns (component, record of its
-    highest, record of its lowest).  A component without exactly one
-    highest-weight and one lowest-weight element means the model is broken,
-    and raises.
+    Notes each element without an e or an f edge as it goes and returns
+    (the component's records, record of its highest, record of its lowest);
+    it memoizes nothing but the edge records.  A component without exactly
+    one highest-weight and one lowest-weight element means the model is
+    broken, and raises.
     """
     if nodes and not 1 <= min(nodes) <= max(nodes) < crystal.rank:
         raise ValueError(f"nodes {nodes} out of range 1..{crystal.rank - 1}")
@@ -183,12 +184,7 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
         raise ValueError(
             f"component of {crystal.canon(b)} on nodes {nodes} has "
             f"{len(highs)} highest / {len(lows)} lowest weight elements")
-    elements = [rec[0] for rec in seen.values()]
-    comp = Component(frozenset(elements), highs[0][0], lows[0][0])
-    cache = crystal._component_cache.setdefault(nodes, {})
-    for x in elements:
-        cache[x] = comp
-    return comp, highs[0], lows[0]
+    return seen.values(), highs[0], lows[0]
 
 
 def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
@@ -196,8 +192,9 @@ def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
 
     Raises ValueError unless there is exactly one highest-weight and one
     lowest-weight element; a violation means the model is broken.
-    Components are memoized per node tuple, shared with `schuetzenberger`,
-    so repeated involution queries inside cactus words stay cheap.
+    Components are memoized per node tuple for all of their elements; this
+    is the only place that builds one.  The walk shares the edge records
+    with `schuetzenberger`, so after a transport it calls no operator.
     """
     nodes = tuple(nodes)
     table = crystal._component_cache.get(nodes)
@@ -205,7 +202,13 @@ def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
         hit = table.get(b)
         if hit is not None:
             return hit
-    return _walk(crystal, b, nodes)[0]
+    records, top, low = _walk(crystal, b, nodes)
+    elements = [rec[0] for rec in records]
+    comp = Component(frozenset(elements), top[0], low[0])
+    table = crystal._component_cache.setdefault(nodes, {})
+    for x in elements:
+        table[x] = comp
+    return comp
 
 
 def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Component]:
@@ -271,7 +274,8 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
     twisted by the interval involution.  One walk reads the component's
     edges from the model's edge records, which the walks of every node set
     share, and the involution is filled and memoized for all its elements,
-    which is what makes exhaustive verification sweeps affordable.  Path
+    which is what makes exhaustive verification sweeps affordable.  It
+    builds no `Component` and leaves the component memo alone.  Path
     independence against the directed single-path variant is a tested
     property, not an assumption.
 
@@ -285,7 +289,7 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         hit = table.get(b)
         if hit is not None:
             return hit
-    comp, top, low = _walk(crystal, b, nodes)
+    records, top, low = _walk(crystal, b, nodes)
     twisted = [(2 * j - 1, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
     xi = {id(top): low}
     filled = [top]
@@ -304,7 +308,7 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
             if y is not None and id(y) not in xi:
                 xi[id(y)] = img[t + 1]
                 filled.append(y)
-    if len(xi) != len(comp.elements):
+    if len(xi) != len(records):
         raise ValueError("involution transport missed part of a component")
     if table is None:
         table = crystal._xi_cache[nodes] = {}

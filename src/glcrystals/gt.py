@@ -181,11 +181,14 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
 
     The generator is computed by edge transport, not by the tableau model's
     evacuation, so the toggles are checked against an independent route.
+    Each (pattern, index) toggle is computed once per call; the memo dies
+    with the call, so a replaced `bk_q` takes effect on the next one.
     """
     lam = partition(lam)
     instance = {"lam": list(lam), "n": n}
     model = tableau_crystal(n)
     pool = [(x, gt_to_tableau(x)) for x in patterns_with_top(lam, n)]
+    toggles = {}
     checked = 0
     for g in intervals(n):
         i, j, nodes = g.p, g.q, g.nodes
@@ -194,7 +197,10 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
             via_crystal = tableau_to_gt(schuetzenberger(model, t, nodes), n)
             via_moves = x
             for q_index in (j - 1, j - i, j - 1):
-                via_moves = bk_q(via_moves, q_index)
+                key = (via_moves, q_index)
+                if key not in toggles:
+                    toggles[key] = bk_q(*key)
+                via_moves = toggles[key]
             if via_crystal != via_moves:
                 return Report("cgp-homomorphism", instance, checked, "fail",
                               f"{g} disagrees with "

@@ -126,11 +126,6 @@ def subsets(rank: int, weight: int):
 # ---------------------------------------------------------------------------
 # row/column tensor words
 
-def row_word(M: Matrix) -> tuple:
-    """Rows top to bottom, each a 0/1 vector of length m."""
-    return M
-
-
 def col_word(M: Matrix) -> tuple:
     """Columns as 0/1 vectors of length n, in the order m, m-1, ..., 1.
 
@@ -139,17 +134,13 @@ def col_word(M: Matrix) -> tuple:
     return tuple(zip(*M))[::-1]
 
 
-def matrix_from_row_word(word) -> Matrix:
-    return tuple(word)
-
-
 def matrix_from_col_word(word) -> Matrix:
     return tuple(zip(*word[::-1]))
 
 
 def row_structure(M: Matrix) -> tuple[TensorCrystal, tuple]:
     n, m = dims(M)
-    return tensor_crystal(*([fundamental_crystal(m)] * n)), row_word(M)
+    return tensor_crystal(*([fundamental_crystal(m)] * n)), M
 
 
 def col_structure(M: Matrix) -> tuple[TensorCrystal, tuple]:
@@ -516,7 +507,7 @@ def verify_dual_implementation(n: int, m: int, N: int, budget: int = 10 ** 6,
         rc, rw = row_structure(M)
         cc, cw = col_structure(M)
         for nodes, word, back, ops in (
-                (range(1, m), rw, matrix_from_row_word,
+                (range(1, m), rw, tuple,
                  ((Re, rc.e, "Re"), (Rf, rc.f, "Rf"))),
                 (range(1, n), cw, matrix_from_col_word,
                  ((Ce, cc.e, "Ce"), (Cf, cc.f, "Cf")))):

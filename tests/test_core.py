@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from glcrystals import gt, skewhowe
 from glcrystals.base import intervals, schur_bruteforce
 from glcrystals.cactus import verify_cactus_relations, xi_full
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
@@ -10,9 +11,10 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              kashiwara_reflection, schuetzenberger,
                              schuetzenberger_by_path, to_highest_path,
                              to_lowest_path, verify_involution_properties)
-from glcrystals.matrices import (MatrixColCrystal, Re, bit_matrices,
-                                 fundamental_crystal, matrix_col_crystal,
-                                 matrix_row_crystal, subsets)
+from glcrystals.matrices import (MatrixColCrystal, MatrixRowCrystal, Re,
+                                 bit_matrices, fundamental_crystal,
+                                 matrix_col_crystal, matrix_row_crystal,
+                                 subsets)
 from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
                                  tableau_crystal)
 from glcrystals.tensor import tensor_crystal
@@ -170,6 +172,11 @@ def test_memo_hits_call_no_operator_and_add_no_table():
     nodes = (1, 2)
     schuetzenberger(crystal, ssyt([[1, 2], [3]], 3), nodes)
     walked = crystal.calls
+    # transport builds no component; the first component call re-reads the
+    # edge records the transport filled
+    assert crystal._component_cache == {}
+    component(crystal, ssyt([[1, 2], [3]], 3), nodes)
+    assert crystal.calls == walked
 
     def tables():
         snapshot = {name: {key: set(table) for key, table in cache.items()}
@@ -250,6 +257,9 @@ def test_memos_keep_one_object_per_element_value():
     crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
     elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
     assert verify_cactus_relations(crystal, elements).ok
+    for g in intervals(3):
+        for M in elements:
+            component(crystal, M, g.nodes)
     kept = []
     for table in crystal._xi_cache.values():
         kept += list(table) + list(table.values())
@@ -260,6 +270,39 @@ def test_memos_keep_one_object_per_element_value():
     canonical = {}
     for x in kept:
         assert canonical.setdefault(x, x) is x, x
+
+
+def test_relation_sweep_builds_no_component():
+    crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
+    elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
+    assert len(elements) == 64
+    assert verify_cactus_relations(crystal, elements).ok
+    assert sorted(crystal._xi_cache) == [(1,), (1, 2), (2,)]
+    assert all(len(table) == 64 for table in crystal._xi_cache.values())
+    assert len(crystal._edges) == 64
+    assert crystal._component_cache == {}
+
+
+def test_transport_verifiers_build_no_component(monkeypatch):
+    # fresh factories, so the models these verifiers build start empty
+    models = []
+
+    def fresh(cls):
+        def build(*args):
+            models.append(cls(*args))
+            return models[-1]
+        return build
+
+    monkeypatch.setattr(skewhowe, "matrix_row_crystal",
+                        fresh(MatrixRowCrystal))
+    monkeypatch.setattr(skewhowe, "matrix_col_crystal",
+                        fresh(MatrixColCrystal))
+    monkeypatch.setattr(gt, "tableau_crystal", fresh(TableauCrystal))
+    assert skewhowe.verify_agreement(3, 2, 3).ok
+    assert skewhowe.verify_corollary(3, 2, 3).ok
+    assert gt.check_cgp_homomorphism((2, 1), 3).ok
+    assert models and any(model._xi_cache for model in models)
+    assert all(model._component_cache == {} for model in models)
 
 
 # ---------------------------------------------------------------------------

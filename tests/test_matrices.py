@@ -13,10 +13,9 @@ from glcrystals.matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi,
                                  col_structure, col_weight, col_word, dims,
                                  from_json, fundamental_crystal,
                                  matrix_col_crystal, matrix_from_col_word,
-                                 matrix_from_row_word, matrix_row_crystal,
-                                 row_eps_profile, row_phi_profile,
-                                 row_structure, row_weight, subsets, to_json,
-                                 to_text, verify_commutation,
+                                 matrix_row_crystal, row_eps_profile,
+                                 row_phi_profile, row_structure, row_weight,
+                                 subsets, to_json, to_text, verify_commutation,
                                  verify_dual_implementation)
 from glcrystals.tableaux import tableau_crystal
 from glcrystals.tensor import tensor_crystal
@@ -85,7 +84,7 @@ def test_word_goldens():
 
 def test_word_round_trips():
     for M in bit_matrices(2, 3, 2):
-        assert matrix_from_row_word(row_structure(M)[1]) == M
+        assert row_structure(M)[1] == M
         assert matrix_from_col_word(col_structure(M)[1]) == M
     assert len(list(bit_matrices(2, 3, 2))) == 15
 
@@ -195,13 +194,13 @@ def test_operators_raise_on_an_unmovable_maximum():
 def Re_tensor(M, i):
     crystal, word = row_structure(M)
     out = crystal.e(i, word)
-    return None if out is None else matrix_from_row_word(out)
+    return None if out is None else tuple(out)
 
 
 def Rf_tensor(M, i):
     crystal, word = row_structure(M)
     out = crystal.f(i, word)
-    return None if out is None else matrix_from_row_word(out)
+    return None if out is None else tuple(out)
 
 
 def Ce_tensor(M, j):

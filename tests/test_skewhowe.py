@@ -10,8 +10,8 @@ from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_Q,
                                 TABLEAU_P, TABLEAU_Q)
 from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix, dims,
                                  matrix_col_crystal, matrix_from_col_word,
-                                 matrix_from_row_word, matrix_row_crystal,
-                                 col_structure, row_structure)
+                                 matrix_row_crystal, col_structure,
+                                 row_structure)
 from glcrystals.skewhowe import (cf_max, doubly_extreme_shape, duality_inv,
                                  duality_iso, outer_on_cols, outer_on_rows,
                                  phi_inv, phi_map, psi_inv, psi_map, re_max,
@@ -297,7 +297,7 @@ def first_outer_mismatch(max_cells):
     """First (matrix, side, word) on which outer_on_rows/cols disagree with
     the generic outer action on the row (column) word, or raise; None when
     they agree everywhere."""
-    sides = ((outer_on_rows, row_structure, matrix_from_row_word, 0),
+    sides = ((outer_on_rows, row_structure, tuple, 0),
              (outer_on_cols, col_structure, matrix_from_col_word, 1))
     for n, m in all_small_dims(max_cells):
         for N in range(n * m + 1):
