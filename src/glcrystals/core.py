@@ -31,12 +31,10 @@ class Crystal:
     def __init__(self, rank: int):
         self.rank = rank
         self._nodes = tuple(range(1, rank))
-        # memo caches, keyed by node tuple; values map element -> result.
-        # Entries are pure values filled once per component and never
-        # invalidated: `schuetzenberger` fills the involution table and
-        # `component` alone fills the component table.
+        # The only memos: involution tables keyed by interval node tuple,
+        # each mapping element -> image, filled once per component by
+        # `schuetzenberger` and never invalidated; and the edge records.
         self._xi_cache: dict = {}
-        self._component_cache: dict = {}
         # One edge record per element value, shared by the walks of every
         # interval, of length 2 * rank - 1: record[0] is the one object the
         # memos keep for that value, and record[2j - 1] / record[2j] hold
@@ -191,24 +189,12 @@ def component(crystal: Crystal, b, nodes: tuple[int, ...]) -> Component:
     """Connected component of b under the e/f edges coloured by `nodes`.
 
     Raises ValueError unless there is exactly one highest-weight and one
-    lowest-weight element; a violation means the model is broken.
-    Components are memoized per node tuple for all of their elements; this
-    is the only place that builds one.  The walk shares the edge records
-    with `schuetzenberger`, so after a transport it calls no operator.
+    lowest-weight element; a violation means the model is broken.  Nothing
+    is memoized but the edge records, which the walk shares with
+    `schuetzenberger`, so after a transport it calls no operator.
     """
-    nodes = tuple(nodes)
-    table = crystal._component_cache.get(nodes)
-    if table is not None:
-        hit = table.get(b)
-        if hit is not None:
-            return hit
-    records, top, low = _walk(crystal, b, nodes)
-    elements = [rec[0] for rec in records]
-    comp = Component(frozenset(elements), top[0], low[0])
-    table = crystal._component_cache.setdefault(nodes, {})
-    for x in elements:
-        table[x] = comp
-    return comp
+    records, top, low = _walk(crystal, b, tuple(nodes))
+    return Component(frozenset(rec[0] for rec in records), top[0], low[0])
 
 
 def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Component]:
@@ -232,6 +218,16 @@ def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Compo
         out.append(comp)
     out.sort(key=lambda c: crystal.canon(c.highest))
     return out
+
+
+def _replay(step, x, path, error: str):
+    """Apply step(j, x) along the reversed path; a step that gives None
+    raises ValueError(error)."""
+    for j in reversed(path):
+        x = step(j, x)
+        if x is None:
+            raise ValueError(error)
+    return x
 
 
 def _greedy_path(step, b, nodes):
@@ -275,11 +271,11 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
     edges from the model's edge records, which the walks of every node set
     share, and the involution is filled and memoized for all its elements,
     which is what makes exhaustive verification sweeps affordable.  It
-    builds no `Component` and leaves the component memo alone.  Path
-    independence against the directed single-path variant is a tested
-    property, not an assumption.
+    builds no `Component`.  Path independence against the directed
+    single-path variant is a tested property, not an assumption.
 
-    An empty node set gives the identity.
+    An empty node set gives the identity; any other node set that is not
+    one interval (p, ..., q-1) raises ValueError, and gets no table.
     """
     nodes = tuple(nodes)
     if not nodes:
@@ -289,6 +285,9 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         hit = table.get(b)
         if hit is not None:
             return hit
+    elif nodes != tuple(range(nodes[0], nodes[-1] + 1)):
+        # a table exists only for node sets that passed this check
+        raise ValueError(f"nodes {nodes} do not form one interval")
     records, top, low = _walk(crystal, b, nodes)
     twisted = [(2 * j - 1, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
     xi = {id(top): low}
@@ -322,19 +321,18 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
     node sequence (smallest or largest index first), then replay the
     sequence from the lowest element backwards with twisted indices.
 
-    Exists as an independent route for the path-independence checks.
+    Exists as an independent route for the path-independence checks.  The
+    lowest element is the involution's image of the highest, taken from
+    the walk's lowest record, so a memo hit costs no walk.
     """
     nodes = tuple(nodes)
     if not nodes:
         return b
     scan = nodes if order == "smallest" else nodes[::-1]
-    x, path = to_highest_path(crystal, b, scan)
-    y = component(crystal, x, nodes).lowest
-    for j in reversed(path):
-        y = crystal.e(theta_on_nodes(nodes, j), y)
-        if y is None:
-            raise ValueError("replay fell off the crystal")
-    return y
+    top, path = to_highest_path(crystal, b, scan)
+    return _replay(crystal.e, schuetzenberger(crystal, top, nodes),
+                   [theta_on_nodes(nodes, j) for j in path],
+                   "replay fell off the crystal")
 
 
 def kashiwara_reflection(crystal: Crystal, b, i: int):

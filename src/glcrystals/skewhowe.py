@@ -16,7 +16,8 @@ from math import comb
 from .base import (DynkinInterval, Partition, intervals, partition,
                    partitions_in_box, ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
-from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
+from .core import (Report, _replay, schuetzenberger, to_highest_path,
+                   to_lowest_path)
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, check_budget, col_word, dims,
                        matrix_col_crystal, matrix_row_crystal)
@@ -144,16 +145,6 @@ def duality_iso(M: Matrix) -> DualityPair:
     return DualityPair(pmat, qmat, t_p, t_q, lam)
 
 
-def _replay(op, M: Matrix, path, error: str) -> Matrix:
-    """Apply `op` along the reversed path; a step that falls off raises
-    ValueError(error)."""
-    for i in reversed(path):
-        M = op(M, i)
-        if M is None:
-            raise ValueError(error)
-    return M
-
-
 def duality_inv(pair: DualityPair) -> Matrix:
     """Inverse of the packaged map.
 
@@ -171,8 +162,8 @@ def duality_inv(pair: DualityPair) -> Matrix:
     corner_from_q, r_path = to_highest_path(row, qmat, row.nodes())
     if corner_from_p != corner_from_q:
         raise ValueError("P and Q do not meet at a common extreme matrix")
-    M = _replay(Rf, pmat, r_path, "R path cannot be replayed from P")
-    if M != _replay(Ce, qmat, c_path, "C path cannot be replayed from Q"):
+    M = _replay(row.f, pmat, r_path, "R path cannot be replayed from P")
+    if M != _replay(col.e, qmat, c_path, "C path cannot be replayed from Q"):
         raise ValueError("the two reconstructions disagree")
     return M
 
@@ -255,7 +246,7 @@ def _row_xi_by_duality(B: Matrix) -> Matrix:
     col = matrix_col_crystal(a, m)
     low, path = to_lowest_path(col, B, col.nodes())
     evacuated = psi_inv(evacuate(psi_map(low), m), m, a)
-    return _replay(Ce, evacuated, path,
+    return _replay(col.e, evacuated, path,
                    "C path cannot be replayed on the evacuated block")
 
 
@@ -267,7 +258,7 @@ def _col_xi_by_duality(B: Matrix) -> Matrix:
     row = matrix_row_crystal(n, b)
     high, path = to_highest_path(row, B, row.nodes())
     evacuated = phi_inv(evacuate(phi_map(high), n), n, b)
-    return _replay(Rf, evacuated, path,
+    return _replay(row.f, evacuated, path,
                    "R path cannot be replayed on the evacuated block")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,16 @@ def test_verify_jobs_output_is_deterministic(capsys):
     # instances run one after another; there is no --jobs option
     assert run(["verify", "all", "--budget", "20", "--jobs", "4"]) == 2
     capsys.readouterr()
+
+
+def test_verify_all_budget_50_output_is_pinned(capsys):
+    # every line of a small sweep: a changed `checked` count, witness or
+    # instance list changes the hash
+    assert run(["verify", "all", "--budget", "50"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "1406/1406 passed"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e9e64e65f0622eec0fdf96f945d43c4fad888b8d593375059fa16dbb0721710")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from glcrystals import gt, skewhowe
+from glcrystals import core, gt, skewhowe
 from glcrystals.base import intervals, schur_bruteforce
 from glcrystals.cactus import verify_cactus_relations, xi_full
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
@@ -163,8 +163,9 @@ def test_component_shares_the_involution_memo():
     comp = component(crystal, b, (1, 2))
     assert len(comp.elements) == 8
     for x in comp.elements:
-        assert component(crystal, x, (1, 2)) is comp
-    assert crystal.calls == walked  # served from the memo, no second walk
+        assert component(crystal, x, (1, 2)) == comp
+    # every walk re-reads the edge records the transport filled
+    assert crystal.calls == walked
 
 
 def test_memo_hits_call_no_operator_and_add_no_table():
@@ -172,22 +173,18 @@ def test_memo_hits_call_no_operator_and_add_no_table():
     nodes = (1, 2)
     schuetzenberger(crystal, ssyt([[1, 2], [3]], 3), nodes)
     walked = crystal.calls
-    # transport builds no component; the first component call re-reads the
-    # edge records the transport filled
-    assert crystal._component_cache == {}
+    # a component call re-reads the edge records the transport filled
     component(crystal, ssyt([[1, 2], [3]], 3), nodes)
     assert crystal.calls == walked
 
     def tables():
-        snapshot = {name: {key: set(table) for key, table in cache.items()}
-                    for name, cache in (("xi", crystal._xi_cache),
-                                        ("component", crystal._component_cache))}
-        snapshot["edges"] = {x: tuple(map(id, record))
-                             for x, record in crystal._edges.items()}
-        return snapshot
+        return {"xi": {key: set(table)
+                       for key, table in crystal._xi_cache.items()},
+                "edges": {x: tuple(map(id, record))
+                          for x, record in crystal._edges.items()}}
 
     before = tables()
-    assert before["xi"].keys() == before["component"].keys() == {nodes}
+    assert before["xi"].keys() == {nodes}
     for x in before["xi"][nodes]:
         schuetzenberger(crystal, x, nodes)
         component(crystal, x, nodes)
@@ -206,6 +203,23 @@ def test_walks_refuse_nodes_outside_the_diagram():
             component(crystal, b, nodes)
         with pytest.raises(ValueError, match="out of range"):
             schuetzenberger(crystal, b, nodes)
+
+
+def test_transport_refuses_node_sets_that_are_not_one_interval():
+    # transport twists node j to p + q - 1 - j, which is the interval's
+    # involution only on (p, ..., q-1); no table is built for another set
+    b = ssyt([[1, 1], [2]], 4)
+    M = ((1, 0), (0, 1), (1, 1), (0, 0))
+    for crystal, x in ((TableauCrystal(4), b), (MatrixColCrystal(4, 2), M),
+                       (gt.PatternCrystal(4), gt.tableau_to_gt(b, 4))):
+        for nodes in ((1, 3), (2, 1), (1, 1)):
+            for route in (schuetzenberger, schuetzenberger_by_path,
+                          type(crystal).interval_involution):
+                with pytest.raises(ValueError, match="do not form one interval"):
+                    route(crystal, x, nodes)
+        assert crystal._xi_cache == {}
+        assert schuetzenberger(crystal, x, ()) == x
+        assert crystal.interval_involution(x, ()) == x
 
 
 def test_every_interval_walk_shares_one_operator_call_per_triple():
@@ -257,22 +271,27 @@ def test_memos_keep_one_object_per_element_value():
     crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
     elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
     assert verify_cactus_relations(crystal, elements).ok
+    kept = []
     for g in intervals(3):
         for M in elements:
-            component(crystal, M, g.nodes)
-    kept = []
+            comp = component(crystal, M, g.nodes)
+            kept += [comp.highest, comp.lowest, *comp.elements]
     for table in crystal._xi_cache.values():
         kept += list(table) + list(table.values())
-    for table in crystal._component_cache.values():
-        for x, comp in table.items():
-            kept += [x, comp.highest, comp.lowest, *comp.elements]
+    for x, record in crystal._edges.items():
+        kept += [x, *(y[0] for y in record[1:] if y is not None)]
     assert len(crystal._xi_cache) == 3 and len(kept) > 1000
     canonical = {}
     for x in kept:
         assert canonical.setdefault(x, x) is x, x
 
 
-def test_relation_sweep_builds_no_component():
+def _no_component(*args):
+    raise AssertionError("a Component was built")
+
+
+def test_relation_sweep_builds_no_component(monkeypatch):
+    monkeypatch.setattr(core, "Component", _no_component)
     crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
     elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
     assert len(elements) == 64
@@ -280,7 +299,18 @@ def test_relation_sweep_builds_no_component():
     assert sorted(crystal._xi_cache) == [(1,), (1, 2), (2,)]
     assert all(len(table) == 64 for table in crystal._xi_cache.values())
     assert len(crystal._edges) == 64
-    assert crystal._component_cache == {}
+
+
+def test_involution_verifier_leaves_only_the_two_memos():
+    # the path route takes its lowest element from the involution table,
+    # so no third memo appears beside the tables and the edge records
+    crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
+    elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
+    assert verify_involution_properties(crystal, elements).ok
+    memos = {name for name, value in vars(crystal).items()
+             if isinstance(value, (dict, list, set))}
+    assert memos == {"_edges", "_xi_cache"}
+    assert len(crystal._xi_cache) == 3 and len(crystal._edges) == 64
 
 
 def test_transport_verifiers_build_no_component(monkeypatch):
@@ -298,11 +328,11 @@ def test_transport_verifiers_build_no_component(monkeypatch):
     monkeypatch.setattr(skewhowe, "matrix_col_crystal",
                         fresh(MatrixColCrystal))
     monkeypatch.setattr(gt, "tableau_crystal", fresh(TableauCrystal))
+    monkeypatch.setattr(core, "Component", _no_component)
     assert skewhowe.verify_agreement(3, 2, 3).ok
     assert skewhowe.verify_corollary(3, 2, 3).ok
     assert gt.check_cgp_homomorphism((2, 1), 3).ok
     assert models and any(model._xi_cache for model in models)
-    assert all(model._component_cache == {} for model in models)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,6 @@ def test_cold_pattern_word_builds_no_component():
     crystal = PatternCrystal(5)
     out = inner_act(word(5, (1, 5)), crystal, x)
     assert crystal._xi_cache == {}
-    assert crystal._component_cache == {}
     assert crystal._edges == {}
     assert out == schuetzenberger(PatternCrystal(5), x, (1, 2, 3, 4))
 
