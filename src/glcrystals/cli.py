@@ -195,9 +195,16 @@ def cmd_gt(args) -> int:
 
 def cmd_skew_howe(args) -> int:
     M = mat.from_json(_read_json(args.infile))
-    pair = duality_iso(M)
-    if duality_inv(pair) != M:
-        print("round trip failed", file=sys.stderr)
+    # M is valid from here on, so a map that raises or does not give M back
+    # is a broken model: a failure with a witness, not bad input
+    try:
+        pair = duality_iso(M)
+        back = duality_inv(pair)
+        reason = None if back == M else f"the inverse gives {mat._flat(back)}"
+    except ValueError as exc:
+        reason = str(exc)
+    if reason is not None:
+        print(f"round trip failed at {mat._flat(M)}: {reason}", file=sys.stderr)
         return 1
     n, m = mat.dims(M)
     payload = {

@@ -114,15 +114,6 @@ def fundamental_crystal(rank: int) -> FundamentalCrystal:
     return FundamentalCrystal(rank)
 
 
-def subsets(rank: int, weight: int):
-    """All 0/1 vectors of length rank with `weight` ones."""
-    for support in combinations(range(rank), weight):
-        v = [0] * rank
-        for pos in support:
-            v[pos] = 1
-        yield tuple(v)
-
-
 # ---------------------------------------------------------------------------
 # row/column tensor words
 

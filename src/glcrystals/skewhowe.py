@@ -2,14 +2,19 @@
 of transpose shapes, and the verifiers for the agreement of the outer and
 inner cactus actions.
 
-The forward map raises a matrix to its rank-m highest weight form P and
-lowers it to its rank-n lowest weight form Q, then reads P into a rank-n
-tableau column by column (the rows holding a one in each column of P) and
-Q into a rank-m tableau row by row, bottom-up (the columns holding a one in
-each row of Q).  The outer actions compute the full involution of a block
-through the same pair.
+The forward map is Knuth's dual RSK correspondence: inserting the columns
+of the ones row by row gives the rank-n tableau T_P (the recording rows)
+and the rank-m tableau T_Q (the transpose of the insertion rows).  T_P is
+the reading of the matrix's rank-m highest weight form P column by column
+(the rows holding a one in each column of P), and T_Q the reading of its
+rank-n lowest weight form Q row by row, bottom-up (the columns holding a
+one in each row of Q); `re_max`/`cf_max` with `phi_map`/`psi_map` compute
+the same pair along crystal paths and stay as its oracle, and the inverse
+map walks those paths.  The outer actions compute the full involution of a
+block by evacuating one tableau of its pair and inverting the insertion.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -74,8 +79,8 @@ def doubly_extreme_shape(L: Matrix) -> Partition:
 def _from_columns(cols: list[list[int]]) -> Rows:
     """Tableau rows of the columns listed left to right, each top-down."""
     depth = max(map(len, cols), default=0)
-    return tuple(tuple(col[r] for col in cols if len(col) > r)
-                 for r in range(depth))
+    return tuple([tuple([col[r] for col in cols if len(col) > r])
+                  for r in range(depth)])
 
 
 def phi_map(P: Matrix) -> Rows:
@@ -123,6 +128,70 @@ def psi_inv(T: Rows, rank: int, n: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# dual RSK insertion
+
+def _insert(M: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Dual RSK insertion of the ones of M: (insertion rows, recording rows).
+
+    The rows of M are read top-down and, within a row, the columns holding
+    a one left to right.  Each column c is inserted into the insertion
+    rows, bumping the leftmost entry >= the inserted value in each row, and
+    the matrix row is written into the recording rows at the new box.  The
+    recording rows are T_P and the insertion rows the columns of T_Q.
+    """
+    ins: list[list[int]] = []
+    rec: list[list[int]] = []
+    for r, row in enumerate(M, start=1):
+        for c, bit in enumerate(row, start=1):
+            if not bit:
+                continue
+            x = c
+            for i, line in enumerate(ins):
+                j = bisect_left(line, x)
+                if j == len(line):
+                    line.append(x)
+                    rec[i].append(r)
+                    break
+                line[j], x = x, line[j]
+            else:
+                ins.append([x])
+                rec.append([r])
+    return ins, rec
+
+
+def _uninsert(ins, rec, n: int, m: int) -> Matrix:
+    """Inverse of `_insert`: the n x m matrix whose insertion gives `ins`
+    and `rec`.
+
+    The boxes are removed in decreasing (label, column) order, so the
+    largest row label goes first and, within a label, the rightmost box.
+    Each removed entry reverse-bumps upward, swapping in each row above
+    with the rightmost entry <= it; the value leaving the top row is the
+    column of a one in the label's row.  A box that is not a corner when
+    its turn comes, or a row with no entry small enough, raises ValueError.
+    """
+    ins = [list(line) for line in ins]
+    out = [[0] * m for _ in range(n)]
+    boxes = sorted(((label, j, i) for i, line in enumerate(rec)
+                    for j, label in enumerate(line)), reverse=True)
+    for label, j, i in boxes:
+        line = ins[i]
+        if len(line) != j + 1 or (i + 1 < len(ins) and len(ins[i + 1]) > j):
+            raise ValueError(f"box ({i + 1},{j + 1}) is not a corner")
+        y = line.pop()
+        if not line:
+            ins.pop()
+        for above in range(i - 1, -1, -1):
+            line = ins[above]
+            k = bisect_right(line, y) - 1
+            if k < 0:
+                raise ValueError(f"no entry <= {y} to reverse-bump")
+            line[k], y = y, line[k]
+        out[label - 1][y - 1] = 1
+    return tuple(tuple(row) for row in out)
+
+
+# ---------------------------------------------------------------------------
 # the packaged isomorphism
 
 @dataclass(frozen=True)
@@ -135,14 +204,16 @@ class DualityPair:
 
 
 def duality_iso(M: Matrix) -> DualityPair:
-    pmat = re_max(M)
-    qmat = cf_max(M)
-    t_p = phi_map(pmat)
-    t_q = psi_map(qmat)
+    """The duality pair of M by dual RSK insertion; P and Q are rebuilt
+    from the tableaux."""
+    n, m = dims(M)
+    ins, rec = _insert(M)
+    t_p = tuple(map(tuple, rec))
+    t_q = _from_columns(ins)
     lam = shape_of(t_p)
     if shape_of(t_q) != transpose(lam):
         raise ValueError("tableau shapes fail to be transpose")
-    return DualityPair(pmat, qmat, t_p, t_q, lam)
+    return DualityPair(phi_inv(t_p, n, m), psi_inv(t_q, m, n), t_p, t_q, lam)
 
 
 def duality_inv(pair: DualityPair) -> Matrix:
@@ -179,14 +250,15 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # row (or column) structure.
 #
 # The full involution of that structure is computed through the block's
-# duality pair: the C operators fix T_Q and commute with the R operators,
-# so the row involution is the evacuation of T_Q on the block's C-lowest
-# form, carried back along the C path; the column involution is the same
-# with T_P, the R-highest form and the R path.  No component is walked, so
-# a cold block costs one path and one evacuation.  The inner actions keep
-# edge transport, which keeps the agreement of the two actions a check of
-# two independent routes, and `verify_agreement`/`verify_corollary` pass
-# transport for the block step, where the memo serves their sweeps.
+# duality pair: the R operators act on T_Q and fix T_P, so the row
+# involution evacuates T_Q and keeps T_P; the column involution evacuates
+# T_P and keeps T_Q.  Both pairs come from dual RSK insertion and go back
+# by its inverse, so a cold block costs one insertion, one evacuation and
+# one reverse insertion, and walks no crystal path or component.  The
+# inner actions keep edge transport, which keeps the agreement of the two
+# actions a check of two independent routes, and `verify_agreement`/
+# `verify_corollary` pass transport for the block step, where the memo
+# serves their sweeps.
 
 def _turn_rows(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
     """One block step on the row word: turn rows lo..hi-1 (0-based) by half
@@ -239,27 +311,20 @@ def _col_xi_by_transport(B: Matrix) -> Matrix:
 
 
 def _row_xi_by_duality(B: Matrix) -> Matrix:
-    """Full involution of the row structure: lower B to its C-lowest form,
-    evacuate the rank-m tableau psi reads from it, and raise the result
-    back along the reversed C path."""
+    """Full involution of the row structure: evacuate the rank-m tableau
+    T_Q of B's duality pair, keep T_P, and invert the insertion."""
     a, m = dims(B)
-    col = matrix_col_crystal(a, m)
-    low, path = to_lowest_path(col, B, col.nodes())
-    evacuated = psi_inv(evacuate(psi_map(low), m), m, a)
-    return _replay(col.e, evacuated, path,
-                   "C path cannot be replayed on the evacuated block")
+    ins, rec = _insert(B)
+    evacuated = evacuate(_from_columns(ins), m)
+    return _uninsert(_from_columns(evacuated), rec, a, m)
 
 
 def _col_xi_by_duality(B: Matrix) -> Matrix:
-    """Full involution of the column structure: raise B to its R-highest
-    form, evacuate the rank-n tableau phi reads from it, and lower the
-    result back along the reversed R path."""
+    """Full involution of the column structure: evacuate the rank-n tableau
+    T_P of B's duality pair, keep T_Q, and invert the insertion."""
     n, b = dims(B)
-    row = matrix_row_crystal(n, b)
-    high, path = to_highest_path(row, B, row.nodes())
-    evacuated = phi_inv(evacuate(phi_map(high), n), n, b)
-    return _replay(row.f, evacuated, path,
-                   "R path cannot be replayed on the evacuated block")
+    ins, rec = _insert(B)
+    return _uninsert(ins, evacuate(rec, n), n, b)
 
 
 def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -267,7 +332,8 @@ def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
 
     Each generator s[p,q] turns rows p..q by half a turn and applies the
     full involution of the row structure of that sub-matrix, computed as
-    the evacuation of its T_Q."""
+    the evacuation of its T_Q between dual RSK insertion and its
+    inverse."""
     return _outer_rows(M, w, _row_xi_by_duality)
 
 
@@ -277,7 +343,7 @@ def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
     Word positions p..q are the matrix columns m-q..m-p (0-based); each
     generator turns those columns by half a turn and applies the full
     involution of the column structure of that sub-matrix, computed as the
-    evacuation of its T_P."""
+    evacuation of its T_P between dual RSK insertion and its inverse."""
     return _outer_cols(M, w, _col_xi_by_duality)
 
 

@@ -16,14 +16,14 @@ from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2,
                                 TABLEAU_P, TABLEAU_P_CE2, TABLEAU_Q)
 from glcrystals.gt import beta, bk_move, bk_q, gt_to_tableau, patterns_with_top
 from glcrystals.matrices import (Ce, bit_matrices, fundamental_crystal,
-                                 matrix_col_crystal, matrix_row_crystal,
-                                 subsets)
+                                 matrix_col_crystal, matrix_row_crystal)
 from glcrystals.skewhowe import (cf_max, duality_iso, inner_on_cols,
                                  inner_on_rows, outer_on_cols, outer_on_rows,
                                  phi_map, psi_map, re_max)
 from glcrystals.suites import SUITES, matrix_sizes, tableau_shapes
 from glcrystals.tableaux import apply_e, enumerate_b_lambda, tableau_crystal
 from glcrystals.tensor import tensor_crystal
+from test_matrices import subsets
 
 
 def _timed(fn, repeats=5):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from glcrystals import gt, tableaux
+from glcrystals import cli, gt, tableaux
 from glcrystals.cli import run
 from glcrystals.core import Report
 
@@ -102,6 +102,37 @@ def test_skew_howe_json(tmp_path, capsys):
     assert payload["lambda"] == "5,3,1"
     assert payload["T_P"]["rows"] == [[1, 1, 1, 2, 3], [2, 3, 3], [3]]
     assert payload["T_Q"]["rows"] == [[1, 1, 3], [2, 2], [3, 3], [4], [5]]
+
+
+def _raise_disagreement(pair):
+    raise ValueError("the two reconstructions disagree")
+
+
+@pytest.mark.parametrize("inverse, reason", [
+    (_raise_disagreement, "the two reconstructions disagree"),
+    (lambda pair: pair.p_matrix, "the inverse gives 111001001011101"),
+], ids=["inverse-raises", "inverse-wrong"])
+def test_skew_howe_failed_round_trip_is_a_failure_with_witness(
+        tmp_path, capsys, monkeypatch, inverse, reason):
+    monkeypatch.setattr(cli, "duality_inv", inverse)
+    path = write(tmp_path, "M.json", M_JSON)
+    assert run(["skew-howe", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"round trip failed at 111000011011101: {reason}\n"
+
+
+def test_skew_howe_malformed_input_is_a_usage_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # the inverse is never reached: bad input stays exit 2
+    monkeypatch.setattr(cli, "duality_inv", _raise_disagreement)
+    path = tmp_path / "M.json"
+    path.write_text("{not json")
+    assert run(["skew-howe", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    ragged = write(tmp_path, "R.json", {"rows": [[1, 0], [1]]})
+    assert run(["skew-howe", "--in", ragged]) == 2
+    assert "round trip" not in capsys.readouterr().err
 
 
 def test_verify_agree_and_goldens(capsys):

@@ -13,11 +13,11 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              to_lowest_path, verify_involution_properties)
 from glcrystals.matrices import (MatrixColCrystal, MatrixRowCrystal, Re,
                                  bit_matrices, fundamental_crystal,
-                                 matrix_col_crystal, matrix_row_crystal,
-                                 subsets)
+                                 matrix_col_crystal, matrix_row_crystal)
 from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
                                  tableau_crystal)
 from glcrystals.tensor import tensor_crystal
+from test_matrices import subsets
 
 
 def tensor_of_fundamentals(rank, weights):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from glcrystals.matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi,
                                  matrix_col_crystal, matrix_from_col_word,
                                  matrix_row_crystal, row_eps_profile,
                                  row_phi_profile, row_structure, row_weight,
-                                 subsets, to_json, to_text, verify_commutation,
+                                 to_json, to_text, verify_commutation,
                                  verify_dual_implementation)
 from glcrystals.tableaux import tableau_crystal
 from glcrystals.tensor import tensor_crystal
@@ -26,6 +27,15 @@ def all_small_dims(max_cells):
         for m in range(1, max_cells + 1):
             if n * m <= max_cells:
                 yield n, m
+
+
+def subsets(rank, weight):
+    """All 0/1 vectors of length rank with `weight` ones."""
+    for support in combinations(range(rank), weight):
+        v = [0] * rank
+        for pos in support:
+            v[pos] = 1
+        yield tuple(v)
 
 
 # ---------------------------------------------------------------------------

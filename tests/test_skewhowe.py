@@ -1,8 +1,11 @@
 import random
+import sys
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 
-from glcrystals import matrices, skewhowe
+from glcrystals import core, matrices, skewhowe
 from glcrystals.base import transpose
 from glcrystals.cactus import outer_act, word
 from glcrystals.core import is_morphism
@@ -12,10 +15,11 @@ from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix, dims,
                                  matrix_col_crystal, matrix_from_col_word,
                                  matrix_row_crystal, col_structure,
                                  row_structure)
-from glcrystals.skewhowe import (cf_max, doubly_extreme_shape, duality_inv,
-                                 duality_iso, outer_on_cols, outer_on_rows,
-                                 phi_inv, phi_map, psi_inv, psi_map, re_max,
-                                 rotate90, verify_agreement, verify_corollary,
+from glcrystals.skewhowe import (DualityPair, cf_max, doubly_extreme_shape,
+                                 duality_inv, duality_iso, inner_on_cols,
+                                 outer_on_cols, outer_on_rows, phi_inv,
+                                 phi_map, psi_inv, psi_map, re_max, rotate90,
+                                 verify_agreement, verify_corollary,
                                  verify_counting)
 from glcrystals.tableaux import evacuate, shape_of, ssyt
 
@@ -231,6 +235,65 @@ def test_transpose_shape_relation():
                 assert shape_of(pair.t_q) == transpose(shape_of(pair.t_p))
 
 
+# ---------------------------------------------------------------------------
+# dual RSK insertion against the crystal route
+
+def kernel_cases():
+    """Every matrix with nm <= 10, then 500 seeded random ones up to 8 x 8."""
+    for n, m in all_small_dims(10):
+        for N in range(n * m + 1):
+            yield from bit_matrices(n, m, N)
+    rng = random.Random(10)
+    for _ in range(500):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        yield tuple(tuple(rng.randint(0, 1) for _ in range(m))
+                    for _ in range(n))
+
+
+def first_kernel_mismatch():
+    """First matrix on which duality_iso differs from the crystal route
+    (raise with R, lower with C, read with phi and psi) or the insertion
+    does not invert, or raises; None when every case agrees."""
+    for M in kernel_cases():
+        n, m = dims(M)
+        P, Q = re_max(M), cf_max(M)
+        t_p = phi_map(P)
+        expect = DualityPair(P, Q, t_p, psi_map(Q), shape_of(t_p))
+        try:
+            if duality_iso(M) != expect or \
+                    skewhowe._uninsert(*skewhowe._insert(M), n, m) != M:
+                return M
+        except ValueError:
+            return M
+    return None
+
+
+def test_insertion_matches_the_crystal_route():
+    assert sum(1 for _ in kernel_cases()) == 7306 + 500
+    assert first_kernel_mismatch() is None
+
+
+def _remove_leftmost_first(boxes, reverse):
+    return sorted(boxes, key=lambda box: (-box[0], box[1]))
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("bisect_left", bisect_right),
+    ("sorted", _remove_leftmost_first),
+], ids=["bump-leftmost-greater", "remove-leftmost-first"])
+def test_insertion_check_catches_seeded_faults(monkeypatch, name, fault):
+    # `sorted` is a builtin, so the fault shadows it in the module namespace
+    monkeypatch.setattr(skewhowe, name, fault, raising=False)
+    assert first_kernel_mismatch() is not None
+
+
+def test_uninsert_rejects_what_insertion_cannot_give():
+    with pytest.raises(ValueError, match="not a corner"):
+        skewhowe._uninsert([[1], [2]], [[2], [1]], 2, 2)
+    with pytest.raises(ValueError, match="reverse-bump"):
+        skewhowe._uninsert([[2], [1]], [[1], [2]], 2, 2)
+
+
 def test_counting_identity_small():
     for n in (2, 3, 4):
         for m in (2, 3, 4):
@@ -336,9 +399,28 @@ def test_local_outer_route_matches_block_transport():
     assert cases == 26648
 
 
+def count_calls(monkeypatch, names):
+    """Wrap each (module, name) wherever a glcrystals module binds it;
+    returns the call counter."""
+    calls = Counter()
+    for module, name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("glcrystals") and \
+                    vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def test_cold_outer_actions_walk_no_component(monkeypatch):
     # the full generator on a 6 x 6 block: transport would walk a component
-    # of thousands of matrices; the duality route walks none
+    # of thousands of matrices; dual RSK builds no model and applies no
+    # operator, and neither does the forward duality map
     rng = random.Random(6)
     ones = set(rng.sample(range(36), 18))
     M = tuple(tuple(int(6 * r + c in ones) for c in range(6)) for r in range(6))
@@ -354,13 +436,20 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
                         fresh(matrices.MatrixRowCrystal))
     monkeypatch.setattr(skewhowe, "matrix_col_crystal",
                         fresh(matrices.MatrixColCrystal))
+    calls = count_calls(monkeypatch, [
+        (matrices, "Re"), (matrices, "Rf"), (matrices, "Ce"),
+        (matrices, "Cf"), (core, "to_highest_path"),
+        (core, "to_lowest_path"), (core, "_replay"),
+        (core, "schuetzenberger")])
     full = word(6, (1, 6))
     rows, cols = outer_on_rows(M, full), outer_on_cols(M, full)
-    assert {type(x) for x in models} == {matrices.MatrixRowCrystal,
-                                         matrices.MatrixColCrystal}
-    for model in models:
-        assert model._xi_cache == {} and model._edges == {}
+    for B in (M, rows, cols):
+        duality_iso(B)
+    assert models == [] and calls == Counter()
     assert outer_on_rows(rows, full) == M and outer_on_cols(cols, full) == M
+    # the inner action still transports, so the counters see it
+    inner_on_cols(M, word(6, (1, 2)))
+    assert calls["schuetzenberger"] == 1 and calls["Ce"] > 0
     monkeypatch.undo()
     for p, q in ((1, 2), (2, 4), (5, 6)):
         w = word(6, (p, q))

@@ -21,6 +21,16 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml and CI promise Python 3.10; grammar newer than that
+    # (except*, type statements, generic syntax) must not creep in
+    root = Path(__file__).resolve().parent.parent
+    paths = SOURCES + sorted((root / "perfbench").glob("*.py"))
+    assert len(paths) > len(SOURCES)
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_library_imports_are_used():
     # a name imported into a module and never referenced there is dead;
     # __init__.py imports only to re-export

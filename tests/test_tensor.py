@@ -7,10 +7,11 @@ from glcrystals.base import pairing
 from glcrystals.core import character, check_crystal_axioms, component
 from glcrystals.matrices import (FundamentalCrystal, bit_matrices,
                                  col_structure, fundamental_crystal,
-                                 row_structure, subsets)
+                                 row_structure)
 from glcrystals.tableaux import enumerate_b_lambda, highest_tableau, tableau_crystal
 from glcrystals.tensor import (element_from_json, element_to_json,
                                tensor_crystal)
+from test_matrices import subsets
 
 
 def fundamentals(rank, weights):
