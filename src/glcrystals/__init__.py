@@ -26,8 +26,7 @@ from .matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi, bit_matrices,
                        verify_commutation, verify_dual_implementation)
 from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
                        duality_iso, phi_inv, phi_map, psi_inv, psi_map, re_max,
-                       rotate90, verify_agreement, verify_corollary,
-                       verify_counting)
+                       verify_agreement, verify_corollary, verify_counting)
 from .tableaux import (TableauCrystal, apply_e, apply_f, enumerate_b_lambda,
                        evacuate, highest_tableau, signature, ssyt,
                        tableau_crystal, weight_of)

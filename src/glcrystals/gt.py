@@ -137,6 +137,9 @@ def patterns_with_top(lam, n: int):
                 for rest in rec(lower):
                     yield (upper,) + rest
 
+    if n == 0:
+        yield ()
+        return
     yield from rec(top)
 
 

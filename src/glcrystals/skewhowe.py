@@ -10,8 +10,10 @@ the reading of the matrix's rank-m highest weight form P column by column
 rank-n lowest weight form Q row by row, bottom-up (the columns holding a
 one in each row of Q); `re_max`/`cf_max` with `phi_map`/`psi_map` compute
 the same pair along crystal paths and stay as its oracle, and the inverse
-map walks those paths.  The outer actions compute the full involution of a
-block by evacuating one tableau of its pair and inverting the insertion.
+map walks those paths.  The outer actions loop over the generators of a
+word, and each generator half-turns a block of rows (columns) and applies
+the block's full involution: evacuate one tableau of its pair and invert
+the insertion.
 """
 
 from bisect import bisect_left, bisect_right
@@ -137,7 +139,9 @@ def _insert(M: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     a one left to right.  Each column c is inserted into the insertion
     rows, bumping the leftmost entry >= the inserted value in each row, and
     the matrix row is written into the recording rows at the new box.  The
-    recording rows are T_P and the insertion rows the columns of T_Q.
+    recording rows are T_P and the insertion rows the columns of T_Q; both
+    gain their boxes in the same branch, so T_Q has the transpose shape of
+    T_P.
     """
     ins: list[list[int]] = []
     rec: list[list[int]] = []
@@ -205,15 +209,13 @@ class DualityPair:
 
 def duality_iso(M: Matrix) -> DualityPair:
     """The duality pair of M by dual RSK insertion; P and Q are rebuilt
-    from the tableaux."""
+    from the tableaux, and lambda is the shape of the recording rows."""
     n, m = dims(M)
     ins, rec = _insert(M)
     t_p = tuple(map(tuple, rec))
     t_q = _from_columns(ins)
-    lam = shape_of(t_p)
-    if shape_of(t_q) != transpose(lam):
-        raise ValueError("tableau shapes fail to be transpose")
-    return DualityPair(phi_inv(t_p, n, m), psi_inv(t_q, m, n), t_p, t_q, lam)
+    return DualityPair(phi_inv(t_p, n, m), psi_inv(t_q, m, n), t_p, t_q,
+                       tuple(map(len, rec)))
 
 
 def duality_inv(pair: DualityPair) -> Matrix:
@@ -254,7 +256,9 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # involution evacuates T_Q and keeps T_P; the column involution evacuates
 # T_P and keeps T_Q.  Both pairs come from dual RSK insertion and go back
 # by its inverse, so a cold block costs one insertion, one evacuation and
-# one reverse insertion, and walks no crystal path or component.  The
+# one reverse insertion, and walks no crystal path or component.
+# `outer_on_rows`/`outer_on_cols` loop over the generators themselves and
+# pass that involution to `_turn_rows`/`_turn_cols` for each block.  The
 # inner actions keep edge transport, which keeps the agreement of the two
 # actions a check of two independent routes, and `verify_agreement`/
 # `verify_corollary` pass transport for the block step, where the memo
@@ -274,28 +278,6 @@ def _turn_cols(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
     the column structure of that block."""
     block = block_xi(tuple([row[lo:hi][::-1] for row in reversed(M)]))
     return tuple([row[:lo] + new + row[hi:] for row, new in zip(M, block)])
-
-
-def _outer_rows(M: Matrix, w: CactusWord, block_xi) -> Matrix:
-    """Outer action on the row word: generator s[p,q] is the block step on
-    rows p..q."""
-    n = len(M)
-    if w.rank != n:
-        raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
-    for g in w.generators:
-        M = _turn_rows(M, g.p - 1, g.q, block_xi)
-    return M
-
-
-def _outer_cols(M: Matrix, w: CactusWord, block_xi) -> Matrix:
-    """Outer action on the reversed column word: generator s[p,q] is the
-    block step on the matrix columns m-q..m-p (0-based)."""
-    m = len(M[0])
-    if w.rank != m:
-        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
-    for g in w.generators:
-        M = _turn_cols(M, m - g.q, m - g.p + 1, block_xi)
-    return M
 
 
 def _row_xi_by_transport(B: Matrix) -> Matrix:
@@ -334,7 +316,12 @@ def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
     full involution of the row structure of that sub-matrix, computed as
     the evacuation of its T_Q between dual RSK insertion and its
     inverse."""
-    return _outer_rows(M, w, _row_xi_by_duality)
+    n = len(M)
+    if w.rank != n:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")
+    for g in w.generators:
+        M = _turn_rows(M, g.p - 1, g.q, _row_xi_by_duality)
+    return M
 
 
 def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
@@ -344,7 +331,12 @@ def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
     generator turns those columns by half a turn and applies the full
     involution of the column structure of that sub-matrix, computed as the
     evacuation of its T_P between dual RSK insertion and its inverse."""
-    return _outer_cols(M, w, _col_xi_by_duality)
+    m = len(M[0])
+    if w.rank != m:
+        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
+    for g in w.generators:
+        M = _turn_cols(M, m - g.q, m - g.p + 1, _col_xi_by_duality)
+    return M
 
 
 def inner_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -357,12 +349,6 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
     """Inner action through the rank-n structure."""
     n, m = dims(M)
     return inner_act(w, matrix_col_crystal(n, m), M)
-
-
-# Counterclockwise quarter turn: entry (j, c) lands at (r, j) where the
-# output row r counts from the last input column, which is the reversed
-# column word read as a matrix.
-rotate90 = col_word
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,7 @@ from glcrystals.skewhowe import (inner_on_cols, inner_on_rows, outer_on_cols,
 from glcrystals.tableaux import enumerate_b_lambda, tableau_crystal
 from glcrystals.tensor import tensor_crystal
 from test_base import perm_apply_weight
-
-
-def all_small_dims(max_cells):
-    for n in range(1, max_cells + 1):
-        for m in range(1, max_cells + 1):
-            if n * m <= max_cells:
-                yield n, m
+from test_matrices import all_small_dims
 
 
 def all_matrices(n, m):

@@ -250,6 +250,18 @@ def test_explicit_instance_over_budget_is_an_error(capsys):
     assert "PASS bk rank=4 shape=3,2,1 (checked=384)" in out
 
 
+def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(capsys):
+    for command in ("graph", "character"):
+        outputs = []
+        for model in ("tableau", "gt"):
+            assert run([command, "--model", model, "--rank", "0",
+                        "--shape", ""]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    assert run(["verify", "xi", "--model", "gt", "--rank", "0"]) == 2
+    assert "needs rank at least 2, got 0" in capsys.readouterr().err
+
+
 def test_character_output(capsys):
     assert run(["character", "--model", "tableau", "--rank", "2",
                 "--shape", "2", "--format", "json"]) == 0

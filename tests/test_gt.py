@@ -167,6 +167,14 @@ def test_cold_pattern_word_builds_no_component():
     assert out == schuetzenberger(PatternCrystal(5), x, (1, 2, 3, 4))
 
 
+def test_rank_zero_has_the_single_empty_pattern():
+    assert list(patterns_with_top((), 0)) == [()]
+    with pytest.raises(ValueError, match="too long"):
+        list(patterns_with_top((), -1))
+    with pytest.raises(ValueError, match="too long"):
+        list(patterns_with_top((1,), 0))
+
+
 def test_index_range_errors():
     with pytest.raises(ValueError):
         bk_move(X, 4)

@@ -11,24 +11,18 @@ from glcrystals.cactus import outer_act, word
 from glcrystals.core import is_morphism
 from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_Q,
                                 TABLEAU_P, TABLEAU_Q)
-from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix, dims,
-                                 matrix_col_crystal, matrix_from_col_word,
-                                 matrix_row_crystal, col_structure,
-                                 row_structure)
+from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix,
+                                 col_word, dims, matrix_col_crystal,
+                                 matrix_from_col_word, matrix_row_crystal,
+                                 col_structure, row_structure)
 from glcrystals.skewhowe import (DualityPair, cf_max, doubly_extreme_shape,
                                  duality_inv, duality_iso, inner_on_cols,
                                  outer_on_cols, outer_on_rows, phi_inv,
-                                 phi_map, psi_inv, psi_map, re_max, rotate90,
+                                 phi_map, psi_inv, psi_map, re_max,
                                  verify_agreement, verify_corollary,
                                  verify_counting)
 from glcrystals.tableaux import evacuate, shape_of, ssyt
-
-
-def all_small_dims(max_cells):
-    for n in range(1, max_cells + 1):
-        for m in range(1, max_cells + 1):
-            if n * m <= max_cells:
-                yield n, m
+from test_matrices import all_small_dims
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +246,17 @@ def kernel_cases():
 
 def first_kernel_mismatch():
     """First matrix on which duality_iso differs from the crystal route
-    (raise with R, lower with C, read with phi and psi) or the insertion
-    does not invert, or raises; None when every case agrees."""
+    (raise with R, lower with C, read with phi and psi), its T_Q is not of
+    the transpose shape of lambda, or the insertion does not invert, or
+    raises; None when every case agrees."""
     for M in kernel_cases():
         n, m = dims(M)
         P, Q = re_max(M), cf_max(M)
         t_p = phi_map(P)
         expect = DualityPair(P, Q, t_p, psi_map(Q), shape_of(t_p))
         try:
-            if duality_iso(M) != expect or \
+            pair = duality_iso(M)
+            if pair != expect or shape_of(pair.t_q) != transpose(pair.lam) or \
                     skewhowe._uninsert(*skewhowe._insert(M), n, m) != M:
                 return M
         except ValueError:
@@ -305,14 +301,14 @@ def test_counting_identity_small():
 # rotation
 
 def test_rotate90_single_one():
-    assert rotate90(bit_matrix([[1, 0], [0, 0]])) == ((0, 0), (1, 0))
-    assert rotate90(bit_matrix([[1, 1, 0], [0, 0, 1]])) == (
+    assert col_word(bit_matrix([[1, 0], [0, 0]])) == ((0, 0), (1, 0))
+    assert col_word(bit_matrix([[1, 1, 0], [0, 0, 1]])) == (
         (0, 1), (1, 0), (1, 0))
 
 
 def test_rotate90_index_identity():
     M = MATRIX_A  # 3 x 5
-    R = rotate90(M)
+    R = col_word(M)
     rows, cols = 3, 5
     for k in range(1, cols + 1):
         for j in range(1, rows + 1):
@@ -320,20 +316,19 @@ def test_rotate90_index_identity():
 
 
 def test_rotate90_is_the_column_word_and_matches_the_index_oracle():
-    # the index comprehension rotate90 was written as, checked on every
-    # matrix with nm <= 10
+    # the counterclockwise quarter turn as an index comprehension, checked
+    # on every matrix with nm <= 10
     def rotate90_oracle(M):
         rows, cols = dims(M)
         return tuple(tuple(M[j][cols - 1 - r] for j in range(rows))
                      for r in range(cols))
 
-    assert rotate90 is matrices.col_word
     cases = 0
     for n, m in all_small_dims(10):
         for N in range(n * m + 1):
             for M in bit_matrices(n, m, N):
                 cases += 1
-                assert rotate90(M) == rotate90_oracle(M)
+                assert col_word(M) == rotate90_oracle(M)
     assert cases == 7306
 
 
@@ -380,12 +375,31 @@ def first_outer_mismatch(max_cells):
     return None
 
 
+def row_turn(M, p, q, block_xi):
+    """Generator s[p,q] of the row word as one block step."""
+    return skewhowe._turn_rows(M, p - 1, q, block_xi)
+
+
+def col_turn(M, p, q, block_xi):
+    """Generator s[p,q] of the reversed column word as one block step."""
+    m = len(M[0])
+    return skewhowe._turn_cols(M, m - q, m - p + 1, block_xi)
+
+
+def test_outer_actions_reject_a_word_of_the_wrong_rank():
+    # MATRIX_A is 3 x 5: the row word has 3 factors, the column word 5
+    with pytest.raises(ValueError, match=r"^word rank 5 != number of "
+                                         r"tensor factors 3$"):
+        outer_on_rows(MATRIX_A, word(5, (1, 2)))
+    with pytest.raises(ValueError, match=r"^word rank 3 != number of "
+                                         r"tensor factors 5$"):
+        outer_on_cols(MATRIX_A, word(3, (1, 2)))
+
+
 def test_local_outer_route_matches_block_transport():
     cases = 0
-    sides = ((outer_on_rows, skewhowe._outer_rows,
-              skewhowe._row_xi_by_transport, 0),
-             (outer_on_cols, skewhowe._outer_cols,
-              skewhowe._col_xi_by_transport, 1))
+    sides = ((outer_on_rows, row_turn, skewhowe._row_xi_by_transport, 0),
+             (outer_on_cols, col_turn, skewhowe._col_xi_by_transport, 1))
     for n, m in all_small_dims(8):
         for N in range(n * m + 1):
             for M in bit_matrices(n, m, N):
@@ -393,9 +407,9 @@ def test_local_outer_route_matches_block_transport():
                     k = (n, m)[axis]
                     for p in range(1, k):
                         for q in range(p + 1, k + 1):
-                            w = word(k, (p, q))
                             cases += 1
-                            assert act(M, w) == splice(M, w, transport), (M, p, q)
+                            assert act(M, word(k, (p, q))) == \
+                                splice(M, p, q, transport), (M, p, q)
     assert cases == 26648
 
 
@@ -453,10 +467,10 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
     monkeypatch.undo()
     for p, q in ((1, 2), (2, 4), (5, 6)):
         w = word(6, (p, q))
-        assert outer_on_rows(M, w) == skewhowe._outer_rows(
-            M, w, skewhowe._row_xi_by_transport)
-        assert outer_on_cols(M, w) == skewhowe._outer_cols(
-            M, w, skewhowe._col_xi_by_transport)
+        assert outer_on_rows(M, w) == row_turn(
+            M, p, q, skewhowe._row_xi_by_transport)
+        assert outer_on_cols(M, w) == col_turn(
+            M, p, q, skewhowe._col_xi_by_transport)
 
 
 def test_verifiers_keep_block_transport(monkeypatch):
@@ -473,15 +487,13 @@ def test_verifiers_keep_block_transport(monkeypatch):
     assert first_outer_mismatch(6) is not None
 
 
-def _splice_without_half_turn(M, w, block_xi):
-    for g in w.generators:
-        M = M[:g.p - 1] + block_xi(M[g.p - 1:g.q]) + M[g.q:]
-    return M
+def _splice_without_half_turn(M, lo, hi, block_xi):
+    return M[:lo] + block_xi(M[lo:hi]) + M[hi:]
 
 
 @pytest.mark.parametrize("name, fault", [
     ("evacuate", lambda rows, r: evacuate(rows, r - 1)),
-    ("_outer_rows", _splice_without_half_turn),
+    ("_turn_rows", _splice_without_half_turn),
 ], ids=["evacuation-one-short", "block-not-half-turned"])
 def test_outer_route_catches_seeded_faults(monkeypatch, name, fault):
     monkeypatch.setattr(skewhowe, name, fault)
