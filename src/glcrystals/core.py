@@ -29,6 +29,8 @@ class Crystal:
     rank: int
 
     def __init__(self, rank: int):
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
         self.rank = rank
         self._nodes = tuple(range(1, rank))
         # The only memos: involution tables keyed by interval node tuple,

@@ -355,7 +355,6 @@ class MatrixRowCrystal(Crystal):
 
     def __init__(self, n: int, m: int):
         super().__init__(m)
-        self.n, self.m = n, m
 
     def weight(self, M):
         return row_weight(M)
@@ -381,7 +380,6 @@ class MatrixColCrystal(Crystal):
 
     def __init__(self, n: int, m: int):
         super().__init__(n)
-        self.n, self.m = n, m
 
     def weight(self, M):
         return col_weight(M)

@@ -10,10 +10,11 @@ the reading of the matrix's rank-m highest weight form P column by column
 rank-n lowest weight form Q row by row, bottom-up (the columns holding a
 one in each row of Q); `re_max`/`cf_max` with `phi_map`/`psi_map` compute
 the same pair along crystal paths and stay as its oracle, and the inverse
-map walks those paths.  The outer actions loop over the generators of a
-word, and each generator half-turns a block of rows (columns) and applies
-the block's full involution: evacuate one tableau of its pair and invert
-the insertion.
+map walks those paths.  The outer action on the row word loops over the
+generators of a word, and each generator half-turns a block of rows and
+applies the block's full involution: evacuate T_Q and invert the
+insertion.  The column word is the row word of the quarter turn, so the
+outer action on it is the row action on the quarter turn.
 """
 
 from bisect import bisect_left, bisect_right
@@ -27,7 +28,8 @@ from .core import (Report, _replay, schuetzenberger, to_highest_path,
                    to_lowest_path)
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, check_budget, col_word, dims,
-                       matrix_col_crystal, matrix_row_crystal)
+                       matrix_col_crystal, matrix_from_col_word,
+                       matrix_row_crystal)
 from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
@@ -247,22 +249,21 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # The row word is a tensor power of the fundamental crystal of 0/1 vectors,
 # whose full involution is reversal: the weight of a 0/1 vector determines
 # it.  So the block step of the generic outer action in `cactus` (flip the
-# factor block, apply xi to each factor) is a half turn of the sub-matrix
-# the block spans, and the block tensor crystal is that sub-matrix's own
-# row (or column) structure.
+# factor block, apply xi to each factor) is a half turn of the rows the
+# block spans, and the block tensor crystal is that sub-matrix's own row
+# structure.  The reversed column word of M is the row word of its quarter
+# turn `col_word(M)`, so the column side is the row side of the quarter
+# turn and `_turn_rows` is the one block step of both.
 #
-# The full involution of that structure is computed through the block's
-# duality pair: the R operators act on T_Q and fix T_P, so the row
-# involution evacuates T_Q and keeps T_P; the column involution evacuates
-# T_P and keeps T_Q.  Both pairs come from dual RSK insertion and go back
-# by its inverse, so a cold block costs one insertion, one evacuation and
-# one reverse insertion, and walks no crystal path or component.
-# `outer_on_rows`/`outer_on_cols` loop over the generators themselves and
-# pass that involution to `_turn_rows`/`_turn_cols` for each block.  The
-# inner actions keep edge transport, which keeps the agreement of the two
-# actions a check of two independent routes, and `verify_agreement`/
-# `verify_corollary` pass transport for the block step, where the memo
-# serves their sweeps.
+# The full involution of a block's row structure is computed through its
+# duality pair: the R operators act on T_Q and fix T_P, so the involution
+# evacuates T_Q and keeps T_P.  The pair comes from dual RSK insertion and
+# goes back by its inverse, so a cold block costs one insertion, one
+# evacuation and one reverse insertion, and walks no crystal path or
+# component.  The inner actions keep edge transport, which keeps the
+# agreement of the two actions a check of two independent routes, and
+# `verify_agreement`/`verify_corollary` pass transport for the block step,
+# where the memo serves their sweeps.
 
 def _turn_rows(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
     """One block step on the row word: turn rows lo..hi-1 (0-based) by half
@@ -272,24 +273,10 @@ def _turn_rows(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
     return M[:lo] + block_xi(block) + M[hi:]
 
 
-def _turn_cols(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
-    """One block step on the reversed column word: turn columns lo..hi-1
-    (0-based) by half a turn and apply `block_xi`, the full involution of
-    the column structure of that block."""
-    block = block_xi(tuple([row[lo:hi][::-1] for row in reversed(M)]))
-    return tuple([row[:lo] + new + row[hi:] for row, new in zip(M, block)])
-
-
 def _row_xi_by_transport(B: Matrix) -> Matrix:
     """Full involution of the row structure of B, by memoized transport."""
     row = matrix_row_crystal(len(B), len(B[0]))
     return schuetzenberger(row, B, row.nodes())
-
-
-def _col_xi_by_transport(B: Matrix) -> Matrix:
-    """Full involution of the column structure of B, by memoized transport."""
-    col = matrix_col_crystal(len(B), len(B[0]))
-    return schuetzenberger(col, B, col.nodes())
 
 
 def _row_xi_by_duality(B: Matrix) -> Matrix:
@@ -299,14 +286,6 @@ def _row_xi_by_duality(B: Matrix) -> Matrix:
     ins, rec = _insert(B)
     evacuated = evacuate(_from_columns(ins), m)
     return _uninsert(_from_columns(evacuated), rec, a, m)
-
-
-def _col_xi_by_duality(B: Matrix) -> Matrix:
-    """Full involution of the column structure: evacuate the rank-n tableau
-    T_P of B's duality pair, keep T_Q, and invert the insertion."""
-    n, b = dims(B)
-    ins, rec = _insert(B)
-    return _uninsert(ins, evacuate(rec, n), n, b)
 
 
 def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -325,18 +304,10 @@ def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
 
 
 def outer_on_cols(M: Matrix, w: CactusWord) -> Matrix:
-    """Outer action on the reversed column word (rank = number of columns).
-
-    Word positions p..q are the matrix columns m-q..m-p (0-based); each
-    generator turns those columns by half a turn and applies the full
-    involution of the column structure of that sub-matrix, computed as the
-    evacuation of its T_P between dual RSK insertion and its inverse."""
-    m = len(M[0])
-    if w.rank != m:
-        raise ValueError(f"word rank {w.rank} != number of tensor factors {m}")
-    for g in w.generators:
-        M = _turn_cols(M, m - g.q, m - g.p + 1, _col_xi_by_duality)
-    return M
+    """Outer action on the reversed column word (rank = number of columns):
+    the outer action on the row word of the quarter turn, whose rows p..q
+    are the matrix columns m-q..m-p (0-based)."""
+    return matrix_from_col_word(outer_on_rows(col_word(M), w))
 
 
 def inner_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -391,9 +362,10 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
     row_model = matrix_row_crystal(n, m)
     steps = [(i, cop, rop, tag) for i in range(1, m)
              for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf"))]
-    # the reflected interval s[m+1-q, m+1-p] spans the columns p-1..q-1
+    # the reflected interval s[m+1-q, m+1-p] of the column word spans the
+    # columns p-1..q-1 of N, which are the rows m-q..m-p of its quarter turn
     gens = [(g, g.nodes, DynkinInterval(m + 1 - g.q, m + 1 - g.p, m),
-             g.p - 1, g.q) for g in intervals(m)]
+             m - g.q, m + 1 - g.p) for g in intervals(m)]
     checked = 0
     for M in bit_matrices(m, n, N):
         R = col_word(M)
@@ -413,9 +385,11 @@ def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine inner {g} at {_flat(M)}")
     for N_mat in bit_matrices(n, m, N):
+        W = col_word(N_mat)
         for g, nodes, reflected, lo, hi in gens:
             checked += 1
-            outer = _turn_cols(N_mat, lo, hi, _col_xi_by_transport)
+            outer = matrix_from_col_word(
+                _turn_rows(W, lo, hi, _row_xi_by_transport))
             if outer != schuetzenberger(row_model, N_mat, nodes):
                 return Report("corollary", instance, checked, "fail",
                               f"{reflected} outer on columns != "

@@ -20,10 +20,10 @@ from glcrystals.matrices import (Ce, bit_matrices, fundamental_crystal,
 from glcrystals.skewhowe import (cf_max, duality_iso, inner_on_cols,
                                  inner_on_rows, outer_on_cols, outer_on_rows,
                                  phi_map, psi_map, re_max)
-from glcrystals.suites import SUITES, matrix_sizes, tableau_shapes
+from glcrystals.suites import SUITES, tableau_shapes
 from glcrystals.tableaux import apply_e, enumerate_b_lambda, tableau_crystal
 from glcrystals.tensor import tensor_crystal
-from test_matrices import subsets
+from test_matrices import all_small_dims, subsets
 
 
 def _timed(fn, repeats=5):
@@ -36,11 +36,6 @@ def _elapsed(fn):
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _dims_up_to(max_cells):
-    """The (n, m) of the registry's matrix sizes, in order."""
-    return list(dict.fromkeys((n, m) for n, m, _ in matrix_sizes(max_cells)))
 
 
 def _run_suites(*names):
@@ -132,7 +127,7 @@ def test_c08_cactus_relations():
                                       enumerate_b_lambda(shape, rank))
         assert rep.ok, (rank, shape, rep.witness)
         checked += rep.checked
-    for n, m in _dims_up_to(9):
+    for n, m in all_small_dims(9):
         elements = [M for N in range(n * m + 1)
                     for M in bit_matrices(n, m, N)]
         for crystal in (matrix_col_crystal(n, m), matrix_row_crystal(n, m)):
@@ -147,7 +142,7 @@ def test_c09_braid_and_weight_reflections():
     checked = 0
     instances = [(tableau_crystal(rank), enumerate_b_lambda(shape, rank))
                  for rank, shape in tableau_shapes()]
-    for n, m in _dims_up_to(9):
+    for n, m in all_small_dims(9):
         elements = [M for N in range(n * m + 1)
                     for M in bit_matrices(n, m, N)]
         instances.append((matrix_col_crystal(n, m), elements))
@@ -201,7 +196,7 @@ def _shipped_instances():
     from itertools import product
     vectors3 = [v for k in range(4) for v in subsets(3, k)]
     yield "tensor 3x3", pair, [tuple(t) for t in product(vectors3, repeat=2)]
-    for n, m in _dims_up_to(8):
+    for n, m in all_small_dims(8):
         elements = [M for N in range(n * m + 1)
                     for M in bit_matrices(n, m, N)]
         yield f"matrix cols {n}x{m}", matrix_col_crystal(n, m), elements

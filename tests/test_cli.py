@@ -262,6 +262,19 @@ def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(capsys):
     assert "needs rank at least 2, got 0" in capsys.readouterr().err
 
 
+def test_negative_rank_is_a_usage_error_naming_the_rank(capsys):
+    for argv in (["graph", "--model", "gt", "--rank", "-1", "--shape", ""],
+                 ["verify", "xi", "--model", "gt", "--rank", "-1"],
+                 ["graph", "--model", "tableau", "--rank", "-1",
+                  "--shape", ""],
+                 ["character", "--model", "tableau", "--rank", "-1",
+                  "--shape", ""],
+                 ["tensor", "--rank", "-1", "--shapes", "1;1"]):
+        assert run(argv) == 2, argv
+        assert "rank must be non-negative, got -1" in \
+            capsys.readouterr().err, argv
+
+
 def test_character_output(capsys):
     assert run(["character", "--model", "tableau", "--rank", "2",
                 "--shape", "2", "--format", "json"]) == 0
@@ -294,3 +307,21 @@ def test_module_entry_point_exits_with_the_verify_status():
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("PASS golden ") for line in lines) == 7
     assert lines[-1] == "7/7 passed"
+
+
+def test_rss_gate_fails_over_its_limit_and_passes_under_it():
+    # the CI memory gate: exit 1 when the child's peak RSS exceeds the
+    # limit, even though the verify run itself passed; exit 0 under it
+    root = Path(__file__).resolve().parent.parent
+    gate = [sys.executable, str(root / ".github" / "rss_gate.py")]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    over = subprocess.run([*gate, "1", "goldens"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert over.returncode == 1, over.stderr
+    summary = over.stdout.splitlines()[-1]
+    assert summary.startswith("verify goldens: exit 0, peak RSS ")
+    assert summary.endswith(" MB")
+    assert "PASS " not in over.stdout and "7/7 passed" in over.stdout
+    under = subprocess.run([*gate, "1000", "goldens"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert under.returncode == 0, under.stdout + under.stderr

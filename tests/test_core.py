@@ -1,5 +1,4 @@
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -16,14 +15,8 @@ from glcrystals.matrices import (MatrixColCrystal, MatrixRowCrystal, Re,
                                  matrix_col_crystal, matrix_row_crystal)
 from glcrystals.tableaux import (TableauCrystal, enumerate_b_lambda, ssyt,
                                  tableau_crystal)
-from glcrystals.tensor import tensor_crystal
 from test_matrices import subsets
-
-
-def tensor_of_fundamentals(rank, weights):
-    crystal = tensor_crystal(*[fundamental_crystal(rank) for _ in weights])
-    pools = [list(subsets(rank, w)) for w in weights]
-    return crystal, [tuple(t) for t in product(*pools)]
+from test_tensor import fundamentals
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +30,7 @@ def test_single_column_component():
 
 
 def test_tensor_square_components():
-    crystal, elements = tensor_of_fundamentals(2, (1, 1))
+    crystal, elements = fundamentals(2, (1, 1))
     comps = components(crystal, elements, (1,))
     assert sorted(len(c.elements) for c in comps) == [1, 3]
 
@@ -467,7 +460,7 @@ def test_character_matches_oracle():
 
 
 def test_character_of_tensor_is_convolution():
-    crystal, elements = tensor_of_fundamentals(2, (1, 1))
+    crystal, elements = fundamentals(2, (1, 1))
     char = character(crystal, elements)
     single = character(fundamental_crystal(2), [(1, 0), (0, 1)])
     convo = Counter()

@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from glcrystals.base import partitions_in_box
 from glcrystals.cactus import inner_act, word
 from glcrystals.core import schuetzenberger, verify_local_involution
 from glcrystals.gt import (PatternCrystal, beta, bk_move, bk_q,
@@ -11,14 +10,10 @@ from glcrystals.gt import (PatternCrystal, beta, bk_move, bk_q,
                            gt_to_tableau, pattern_crystal, patterns_with_top,
                            pretty, rank_of, tableau_to_gt, to_json)
 from glcrystals.tableaux import ssyt, weight_of
+from test_tableaux import small_shapes
 
 X = gt_pattern([(5, 3, 3, 1), (4, 3, 1), (4, 2), (3,)])
 T_X = ssyt([(1, 1, 1, 2, 4), (2, 2, 3), (3, 4, 4), (4,)], 4)
-
-
-def shapes(rank, max_boxes):
-    for size in range(max_boxes + 1):
-        yield from partitions_in_box(rank, size, size)
 
 
 def test_pattern_validation():
@@ -64,7 +59,7 @@ def test_bijection_round_trip_exhaustive():
 
 def test_beta_is_tableau_content():
     for rank in (2, 3, 4):
-        for lam in shapes(rank, 6):
+        for lam in small_shapes(rank, 6):
             for x in patterns_with_top(lam, rank):
                 assert beta(x) == weight_of(gt_to_tableau(x), rank)
 
@@ -80,7 +75,7 @@ def test_bk_move_golden_chain():
 
 def test_bk_move_involution_and_invariants():
     for rank in (2, 3, 4):
-        for lam in shapes(rank, 6):
+        for lam in small_shapes(rank, 6):
             for x in patterns_with_top(lam, rank):
                 for j in range(1, rank):
                     moved = bk_move(x, j)
@@ -133,7 +128,7 @@ def pattern_pool(lam, rank):
 
 def test_pattern_local_involution_matches_transport():
     for rank in (2, 3, 4, 5):
-        for lam in shapes(rank, 5 if rank < 5 else 3):
+        for lam in small_shapes(rank, 5 if rank < 5 else 3):
             rep = verify_local_involution(pattern_crystal(rank),
                                           pattern_pool(lam, rank))
             assert rep.ok, rep.witness

@@ -8,7 +8,7 @@ import pytest
 from glcrystals import core, matrices, skewhowe
 from glcrystals.base import transpose
 from glcrystals.cactus import outer_act, word
-from glcrystals.core import is_morphism
+from glcrystals.core import is_morphism, schuetzenberger
 from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_Q,
                                 TABLEAU_P, TABLEAU_Q)
 from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix,
@@ -381,9 +381,20 @@ def row_turn(M, p, q, block_xi):
 
 
 def col_turn(M, p, q, block_xi):
-    """Generator s[p,q] of the reversed column word as one block step."""
+    """Generator s[p,q] of the reversed column word as one block step in
+    column coordinates: turn columns m-q..m-p (0-based) by half a turn and
+    apply `block_xi`, the full involution of that block's column
+    structure."""
     m = len(M[0])
-    return skewhowe._turn_cols(M, m - q, m - p + 1, block_xi)
+    lo, hi = m - q, m - p + 1
+    block = block_xi(tuple([row[lo:hi][::-1] for row in reversed(M)]))
+    return tuple([row[:lo] + new + row[hi:] for row, new in zip(M, block)])
+
+
+def col_transport(B):
+    """Full involution of the column structure of B, by transport."""
+    col = matrix_col_crystal(*dims(B))
+    return schuetzenberger(col, B, col.nodes())
 
 
 def test_outer_actions_reject_a_word_of_the_wrong_rank():
@@ -399,7 +410,7 @@ def test_outer_actions_reject_a_word_of_the_wrong_rank():
 def test_local_outer_route_matches_block_transport():
     cases = 0
     sides = ((outer_on_rows, row_turn, skewhowe._row_xi_by_transport, 0),
-             (outer_on_cols, col_turn, skewhowe._col_xi_by_transport, 1))
+             (outer_on_cols, col_turn, col_transport, 1))
     for n, m in all_small_dims(8):
         for N in range(n * m + 1):
             for M in bit_matrices(n, m, N):
@@ -469,8 +480,7 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
         w = word(6, (p, q))
         assert outer_on_rows(M, w) == row_turn(
             M, p, q, skewhowe._row_xi_by_transport)
-        assert outer_on_cols(M, w) == col_turn(
-            M, p, q, skewhowe._col_xi_by_transport)
+        assert outer_on_cols(M, w) == col_turn(M, p, q, col_transport)
 
 
 def test_verifiers_keep_block_transport(monkeypatch):
@@ -479,7 +489,6 @@ def test_verifiers_keep_block_transport(monkeypatch):
     # public outer actions with an independent route notices
     assert first_outer_mismatch(6) is None
     monkeypatch.setattr(skewhowe, "_row_xi_by_duality", lambda B: B)
-    monkeypatch.setattr(skewhowe, "_col_xi_by_duality", lambda B: B)
     for N in range(10):
         assert verify_agreement(3, 3, N).ok
     for N in range(7):
@@ -494,7 +503,9 @@ def _splice_without_half_turn(M, lo, hi, block_xi):
 @pytest.mark.parametrize("name, fault", [
     ("evacuate", lambda rows, r: evacuate(rows, r - 1)),
     ("_turn_rows", _splice_without_half_turn),
-], ids=["evacuation-one-short", "block-not-half-turned"])
+    ("col_word", lambda M: tuple(zip(*M))),
+], ids=["evacuation-one-short", "block-not-half-turned",
+        "columns-not-reversed"])
 def test_outer_route_catches_seeded_faults(monkeypatch, name, fault):
     monkeypatch.setattr(skewhowe, name, fault)
     assert first_outer_mismatch(6) is not None

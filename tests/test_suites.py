@@ -50,7 +50,7 @@ def _path_transport_is_identity(crystal, b, nodes, order="smallest"):
 FAULTS = {
     "agree": ("agree n=2 m=2 N=1", skewhowe, "_row_xi_by_transport",
               _identity_block),
-    "corollary": ("corollary n=2 m=2 N=1", skewhowe, "_col_xi_by_transport",
+    "corollary": ("corollary n=2 m=2 N=1", skewhowe, "_row_xi_by_transport",
                   _identity_block),
     "relations tableau": ("cactus+braid rank=2 shape=1", cactus,
                           "schuetzenberger", _non_involutive_xi),
@@ -98,13 +98,13 @@ INTERVAL_ORDER = {
                   lambda real, B: B if len(B) >= 3 else real(B),
                   (2, "s[1,3] outer != inner at 11100000")),
     "corollary": (lambda: skewhowe.verify_corollary(2, 3, 3), skewhowe,
-                  "_col_xi_by_transport",
-                  lambda real, B: B if len(B[0]) >= 3 else real(B),
+                  "_row_xi_by_transport",
+                  lambda real, B: B if len(B) >= 3 else real(B),
                   (142, "s[1,3] outer on columns != inner s[1,3] at 111000")),
     "corollary rank 4": (
         lambda: skewhowe.verify_corollary(2, 4, 3), skewhowe,
-        "_col_xi_by_transport",
-        lambda real, B: B if len(B[0]) >= 3 else real(B),
+        "_row_xi_by_transport",
+        lambda real, B: B if len(B) >= 3 else real(B),
         (674, "s[2,4] outer on columns != inner s[1,3] at 11100000")),
     "cgp": (lambda: gt.check_cgp_homomorphism((2, 1), 3), gt, "bk_q",
             lambda real, x, i: x if i >= 2 else real(x, i),
