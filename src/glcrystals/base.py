@@ -1,6 +1,6 @@
-"""Shared exact combinatorics: partitions, integer weight vectors, type-A
-Dynkin intervals with their diagram involution, block-reversal permutations,
-and a brute-force Schur-polynomial oracle.
+"""Shared exact combinatorics: strict integer rows for input, partitions,
+integer weight vectors, type-A Dynkin intervals with their diagram
+involution, block-reversal permutations, and a brute-force Schur oracle.
 
 Node indices are 1-based throughout: the Dynkin diagram of gl_k has nodes
 {1, ..., k-1} and the interval written (p, q) covers nodes {p, ..., q-1}.
@@ -12,6 +12,23 @@ from dataclasses import dataclass
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
 Permutation = tuple[int, ...]  # one-line notation, 1-based values
+
+
+# ---------------------------------------------------------------------------
+# input
+
+def int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Freeze a list of integer lists.  Entries must be ints, not bools:
+    `int()` would read 1.9 as 1 and the row "01" as (0, 1) without a word."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"expected a list of rows, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"expected a row of integers, got {row!r}")
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"entry {v!r} is not an integer")
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from .skewhowe import (duality_inv, duality_iso, inner_on_cols, inner_on_rows,
 from .suites import (MATRIX_VERIFIERS, MODEL_VERIFIERS, SUITES, bk_rows,
                      model_rows, suite_rows, target_rows)
 from .tableaux import enumerate_b_lambda, tableau_crystal
-from .tensor import element_from_json, element_to_json, tensor_crystal
+from .tensor import (TensorCrystal, element_from_json, element_to_json,
+                     tensor_crystal)
 
 
 class UsageError(Exception):
@@ -77,9 +78,12 @@ def _selected_model(args):
     raise UsageError(f"unknown model {args.model!r}")
 
 
-def _read_json(path):
+def _read_json(path) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds {type(data).__name__}, not a JSON object")
+    return data
 
 
 def _emit(args, text: str) -> None:
@@ -163,6 +167,8 @@ def cmd_act(args) -> int:
             w = parse_word(args.word, crystal.rank)
             out_crystal, out = crystal, inner_act(w, crystal, t)
         else:
+            if not isinstance(crystal, TensorCrystal):
+                raise UsageError("only tensor elements carry the outer action")
             w = parse_word(args.word, len(crystal.factors))
             out_crystal, out = outer_act(w, crystal, t)
         _emit(args, json.dumps(element_to_json(out_crystal, out), indent=2))
@@ -231,8 +237,8 @@ def cmd_skew_howe(args) -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
-    # `verify all` defaults to a sub-minute selection; explicit targets get
-    # the full library guard.  --budget overrides either way.
+    # the one enumeration budget: `verify all` defaults to a sub-minute
+    # selection, explicit targets to 10**6.  --budget overrides either way.
     budget = args.budget
     if budget is None:
         budget = 500 if target == "all" else 10 ** 6
@@ -261,7 +267,7 @@ def cmd_verify(args) -> int:
         if args.n is None or args.m is None:
             raise UsageError(f"verify {target} needs --n and --m")
         _check_matrix_size(args.n, args.m, args.N)
-        rows = target_rows(target, args.n, args.m, args.N, budget, args.force)
+        rows = target_rows(target, args.n, args.m, args.N)
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")

@@ -114,14 +114,6 @@ class Report:
                 "witness": self.witness}
 
 
-def _fail(name, instance, checked, witness) -> Report:
-    return Report(name, instance, checked, "fail", witness)
-
-
-def _passed(name, instance, checked) -> Report:
-    return Report(name, instance, checked, "pass")
-
-
 def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     """One BFS from b over the e/f edges coloured by `nodes`.
 
@@ -370,28 +362,28 @@ def check_crystal_axioms(crystal: Crystal, elements) -> Report:
             c = crystal.f(i, b)
             if c is not None:
                 if crystal.e(i, c) != b:
-                    return _fail("axioms", instance, checked,
-                                 f"e_{i} f_{i} != id at {crystal.canon(b)}")
+                    return Report("axioms", instance, checked, "fail",
+                                  f"e_{i} f_{i} != id at {crystal.canon(b)}")
                 if crystal.weight(c) != add_root(wb, i, -1):
-                    return _fail("axioms", instance, checked,
-                                 f"f_{i} weight step wrong at {crystal.canon(b)}")
+                    return Report("axioms", instance, checked, "fail",
+                                  f"f_{i} weight step wrong at {crystal.canon(b)}")
             c = crystal.e(i, b)
             if c is not None:
                 if crystal.f(i, c) != b:
-                    return _fail("axioms", instance, checked,
-                                 f"f_{i} e_{i} != id at {crystal.canon(b)}")
+                    return Report("axioms", instance, checked, "fail",
+                                  f"f_{i} e_{i} != id at {crystal.canon(b)}")
                 if crystal.weight(c) != add_root(wb, i, +1):
-                    return _fail("axioms", instance, checked,
-                                 f"e_{i} weight step wrong at {crystal.canon(b)}")
+                    return Report("axioms", instance, checked, "fail",
+                                  f"e_{i} weight step wrong at {crystal.canon(b)}")
             ep, ph = crystal.eps(i, b), crystal.phi(i, b)
             if ep != Crystal.eps(crystal, i, b) or ph != Crystal.phi(crystal, i, b):
-                return _fail("axioms", instance, checked,
-                             f"eps/phi formula disagrees with iteration at "
-                             f"{crystal.canon(b)}, node {i}")
+                return Report("axioms", instance, checked, "fail",
+                              f"eps/phi formula disagrees with iteration at "
+                              f"{crystal.canon(b)}, node {i}")
             if ph - ep != pairing(wb, i):
-                return _fail("axioms", instance, checked,
-                             f"phi - eps != <wt, coroot> at {crystal.canon(b)}, node {i}")
-    return _passed("axioms", instance, checked)
+                return Report("axioms", instance, checked, "fail",
+                              f"phi - eps != <wt, coroot> at {crystal.canon(b)}, node {i}")
+    return Report("axioms", instance, checked, "pass")
 
 
 def character(crystal: Crystal, elements) -> Counter:
@@ -416,33 +408,33 @@ def verify_involution_properties(crystal: Crystal, elements) -> Report:
             checked += 1
             xb = schuetzenberger(crystal, b, nodes)
             if schuetzenberger(crystal, xb, nodes) != b:
-                return _fail("involution", instance, checked,
-                             f"not an involution on {nodes} at {crystal.canon(b)}")
+                return Report("involution", instance, checked, "fail",
+                              f"not an involution on {nodes} at {crystal.canon(b)}")
             wb = list(crystal.weight(b))
             wb[p - 1:q] = wb[p - 1:q][::-1]
             if list(crystal.weight(xb)) != wb:
-                return _fail("involution", instance, checked,
-                             f"weight not block-reversed on {nodes} at {crystal.canon(b)}")
+                return Report("involution", instance, checked, "fail",
+                              f"weight not block-reversed on {nodes} at {crystal.canon(b)}")
             for i in nodes:
                 ti = theta_on_nodes(nodes, i)
                 lhs = crystal.e(i, xb)
                 down = crystal.f(ti, b)
                 rhs = None if down is None else schuetzenberger(crystal, down, nodes)
                 if lhs != rhs:
-                    return _fail("involution", instance, checked,
-                                 f"e_{i} twist fails on {nodes} at {crystal.canon(b)}")
+                    return Report("involution", instance, checked, "fail",
+                                  f"e_{i} twist fails on {nodes} at {crystal.canon(b)}")
                 lhs = crystal.f(i, xb)
                 up = crystal.e(ti, b)
                 rhs = None if up is None else schuetzenberger(crystal, up, nodes)
                 if lhs != rhs:
-                    return _fail("involution", instance, checked,
-                                 f"f_{i} twist fails on {nodes} at {crystal.canon(b)}")
+                    return Report("involution", instance, checked, "fail",
+                                  f"f_{i} twist fails on {nodes} at {crystal.canon(b)}")
             small = schuetzenberger_by_path(crystal, b, nodes, "smallest")
             large = schuetzenberger_by_path(crystal, b, nodes, "largest")
             if small != xb or large != xb:
-                return _fail("involution", instance, checked,
-                             f"path transport disagrees on {nodes} at {crystal.canon(b)}")
-    return _passed("involution", instance, checked)
+                return Report("involution", instance, checked, "fail",
+                              f"path transport disagrees on {nodes} at {crystal.canon(b)}")
+    return Report("involution", instance, checked, "pass")
 
 
 def verify_local_involution(crystal: Crystal, elements) -> Report:
@@ -459,10 +451,10 @@ def verify_local_involution(crystal: Crystal, elements) -> Report:
             checked += 1
             local = crystal.interval_involution(b, nodes)
             if local != schuetzenberger(crystal, b, nodes):
-                return _fail("local-involution", instance, checked,
-                             f"{g} local route disagrees with transport at "
-                             f"{crystal.canon(b)}")
-    return _passed("local-involution", instance, checked)
+                return Report("local-involution", instance, checked, "fail",
+                              f"{g} local route disagrees with transport at "
+                              f"{crystal.canon(b)}")
+    return Report("local-involution", instance, checked, "pass")
 
 
 def is_morphism(f_map, dom: Crystal, cod: Crystal, elements) -> Report:
@@ -483,27 +475,27 @@ def is_morphism(f_map, dom: Crystal, cod: Crystal, elements) -> Report:
             continue
         checked += 1
         if dom.weight(b) != cod.weight(fb):
-            return _fail("morphism", instance, checked,
-                         f"weight not preserved at {dom.canon(b)}")
+            return Report("morphism", instance, checked, "fail",
+                          f"weight not preserved at {dom.canon(b)}")
         for i in nodes:
             if dom.eps(i, b) != cod.eps(i, fb) or dom.phi(i, b) != cod.phi(i, fb):
-                return _fail("morphism", instance, checked,
-                             f"eps/phi not preserved at {dom.canon(b)}, node {i}")
+                return Report("morphism", instance, checked, "fail",
+                              f"eps/phi not preserved at {dom.canon(b)}, node {i}")
             down = dom.f(i, b)
             if down is not None:
                 lhs = f_map(down)
                 rhs = cod.f(i, fb)
                 if lhs != rhs:
-                    return _fail("morphism", instance, checked,
-                                 f"f_{i} not intertwined at {dom.canon(b)}")
+                    return Report("morphism", instance, checked, "fail",
+                                  f"f_{i} not intertwined at {dom.canon(b)}")
             up = dom.e(i, b)
             if up is not None:
                 lhs = f_map(up)
                 rhs = cod.e(i, fb)
                 if lhs != rhs:
-                    return _fail("morphism", instance, checked,
-                                 f"e_{i} not intertwined at {dom.canon(b)}")
-    return _passed("morphism", instance, checked)
+                    return Report("morphism", instance, checked, "fail",
+                                  f"e_{i} not intertwined at {dom.canon(b)}")
+    return Report("morphism", instance, checked, "pass")
 
 
 def export_graph(crystal: Crystal, elements) -> str:

@@ -10,7 +10,7 @@ import json
 from functools import lru_cache
 from itertools import product
 
-from .base import Weight, intervals, partition
+from .base import Weight, int_rows, intervals, partition
 from .core import Crystal, Report, schuetzenberger
 from .tableaux import Rows, ssyt, tableau_crystal
 
@@ -19,7 +19,7 @@ Pattern = tuple[tuple[int, ...], ...]
 
 def gt_pattern(rows) -> Pattern:
     """Validate and freeze a triangular interlacing array."""
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    rows = int_rows(rows)
     n = len(rows)
     for k, row in enumerate(rows):
         if len(row) != n - k:

@@ -15,9 +15,8 @@ stay the per-position oracles they are checked against.
 import json
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
-from .base import Weight
+from .base import Weight, int_rows
 from .core import Crystal, Report
 from .tensor import TensorCrystal, tensor_crystal
 
@@ -26,7 +25,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def bit_matrix(rows, n: int | None = None, m: int | None = None) -> Matrix:
     """Validate and freeze a 0/1 matrix."""
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = int_rows(rows)
     if not out or not out[0]:
         raise ValueError("matrix needs at least one row and column")
     if any(len(row) != len(out[0]) for row in out):
@@ -413,17 +412,7 @@ def matrix_col_crystal(n: int, m: int) -> MatrixColCrystal:
 # ---------------------------------------------------------------------------
 # verifiers
 
-def check_budget(n: int, m: int, N: int, budget: int = 10 ** 6,
-                 force: bool = False) -> None:
-    size = comb(n * m, N)
-    if size > budget and not force:
-        raise ValueError(
-            f"instance ({n},{m},{N}) enumerates {size} matrices, over the "
-            f"budget {budget}; pass force=True to run anyway")
-
-
-def verify_commutation(n: int, m: int, N: int, budget: int = 10 ** 6,
-                       force: bool = False) -> Report:
+def verify_commutation(n: int, m: int, N: int) -> Report:
     """Exhaustively check that the two structures commute: each R operator
     preserves the C weight and all C eps/phi values and commutes with each
     C operator wherever both sides are defined, and symmetrically.
@@ -431,7 +420,6 @@ def verify_commutation(n: int, m: int, N: int, budget: int = 10 ** 6,
     Each matrix's own weights, eps/phi vectors and operator results are
     computed once and read by every check of that matrix.
     """
-    check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     checked = 0
     r_nodes, c_nodes = range(1, m), range(1, n)
@@ -480,11 +468,9 @@ def verify_commutation(n: int, m: int, N: int, budget: int = 10 ** 6,
     return Report("commutation", instance, checked, "pass")
 
 
-def verify_dual_implementation(n: int, m: int, N: int, budget: int = 10 ** 6,
-                               force: bool = False) -> Report:
+def verify_dual_implementation(n: int, m: int, N: int) -> Report:
     """Closed formulas against the tensor rule, every operator and index,
     every matrix.  The tensor structures are built once per matrix."""
-    check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     checked = 0
 

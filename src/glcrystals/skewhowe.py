@@ -27,9 +27,8 @@ from .cactus import CactusWord, inner_act
 from .core import (Report, _replay, schuetzenberger, to_highest_path,
                    to_lowest_path)
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
-                       bit_matrices, check_budget, col_word, dims,
-                       matrix_col_crystal, matrix_from_col_word,
-                       matrix_row_crystal)
+                       bit_matrices, col_word, dims, matrix_col_crystal,
+                       matrix_from_col_word, matrix_row_crystal)
 from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
@@ -328,11 +327,9 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
 # The verifiers call `schuetzenberger` on models built once per call, and
 # the block step with the transport seams, which they look up at call time.
 
-def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
-                     force: bool = False) -> Report:
+def verify_agreement(n: int, m: int, N: int) -> Report:
     """For every matrix and every rank-n generator, the outer action on the
     row word equals the inner action through the rank-n structure."""
-    check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     col_model = matrix_col_crystal(n, m)
     gens = [(g, g.p - 1, g.q, g.nodes) for g in intervals(n)]
@@ -347,14 +344,12 @@ def verify_agreement(n: int, m: int, N: int, budget: int = 10 ** 6,
     return Report("agreement", instance, checked, "pass")
 
 
-def verify_corollary(n: int, m: int, N: int, budget: int = 10 ** 6,
-                     force: bool = False) -> Report:
+def verify_corollary(n: int, m: int, N: int) -> Report:
     """Quarter-turn transport of the agreement: rotation intertwines the
     C operators with the R operators and the inner actions, and for every
     rank-m generator s[p,q] the outer action on the column word at the
     reflected interval equals the inner action through the rank-m structure.
     """
-    check_budget(n, m, N, budget, force)
     instance = {"n": n, "m": m, "N": N}
     # m x n matrices with the C operators, their n x m quarter turns and
     # the n x m matrices of the outer side with the R operators

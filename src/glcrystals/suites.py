@@ -1,6 +1,6 @@
 """The instance registry of `verify all`, the explicit `verify` targets and
-the acceptance tests.  A row is `(label, cost, thunk)`: the cost is the
-enumeration size checked against a budget, and the thunk returns a Report.
+the acceptance tests.  A row is `(label, cost, thunk)`: `verify` alone
+checks the enumeration size `cost` against a budget; `thunk` gives a Report.
 `SUITES` maps each suite to its row builder, in `verify all` order.
 """
 
@@ -135,14 +135,11 @@ def suite_rows() -> list:
     return [row for build in SUITES.values() for row in build()]
 
 
-def target_rows(target: str, n: int, m: int, N: int | None, budget: int,
-                force: bool) -> list:
+def target_rows(target: str, n: int, m: int, N: int | None) -> list:
     """Rows of `verify <target> --n --m [--N]`: that N, else every N."""
-    check = MATRIX_VERIFIERS[target]
-    if target != "counting":
-        check = partial(check, budget=budget, force=force)
     ns = [N] if N is not None else range(n * m + 1)
-    return _matrix_rows(target, check, [(n, m, k) for k in ns])
+    return _matrix_rows(target, MATRIX_VERIFIERS[target],
+                        [(n, m, k) for k in ns])
 
 
 def bk_rows(shape, rank: int, spelling: str) -> list:

@@ -10,7 +10,8 @@ import json
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .base import Partition, Weight, content, partition, ssyt_fillings
+from .base import (Partition, Weight, content, int_rows, partition,
+                   ssyt_fillings)
 from .core import Crystal
 
 Rows = tuple[tuple[int, ...], ...]
@@ -21,7 +22,7 @@ _MINUS, _PLUS = 1, 2
 
 def ssyt(rows, rank: int | None = None) -> Rows:
     """Validate and freeze a semistandard tableau."""
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    rows = int_rows(rows)
     shape_of(rows)  # validates weakly decreasing row lengths
     for r, row in enumerate(rows):
         if not row:

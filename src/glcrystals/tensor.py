@@ -8,7 +8,7 @@ vectors, nested tensors) as long as all share one rank.
 import json
 from functools import lru_cache
 
-from .base import Weight, pairing
+from .base import Weight, int_rows, pairing
 from .core import Crystal
 
 
@@ -138,9 +138,14 @@ def element_from_json(obj) -> tuple[Crystal, object]:
     from .tableaux import ssyt, tableau_crystal
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a model-tagged object, got {obj!r}")
     tag = obj["model"]
     if tag == "tensor":
-        pairs = [element_from_json(f) for f in obj["factors"]]
+        factors = obj["factors"]
+        if not isinstance(factors, list):
+            raise ValueError(f"tensor factors must be a list, got {factors!r}")
+        pairs = [element_from_json(f) for f in factors]
         crystal = tensor_crystal(*(m for m, _ in pairs))
         return crystal, tuple(x for _, x in pairs)
     if tag == "tableau":
@@ -148,7 +153,7 @@ def element_from_json(obj) -> tuple[Crystal, object]:
         return tableau_crystal(rank), ssyt(obj["rows"], rank)
     if tag == "fundamental":
         rank = int(obj["rank"])
-        bits = tuple(int(v) for v in obj["bits"])
+        bits = int_rows([obj["bits"]])[0]
         if len(bits) != rank or any(v not in (0, 1) for v in bits):
             raise ValueError(f"bad 0/1 vector {bits} for rank {rank}")
         return fundamental_crystal(rank), bits

@@ -135,6 +135,50 @@ def test_skew_howe_malformed_input_is_a_usage_error(tmp_path, capsys,
     assert "round trip" not in capsys.readouterr().err
 
 
+ACT_MATRIX = ["act", "--model", "matrix", "--word", "s[1,2]"]
+ACT_TENSOR = ["act", "--model", "tensor", "--word", "s[1,2]"]
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (ACT_MATRIX, [1, 2]),
+    (ACT_MATRIX, {"rows": 5}),
+    (["skew-howe"], [1, 2]),
+    (["skew-howe"], {"rows": 5}),
+    (["gt"], {"rows": 7}),
+    (ACT_TENSOR, {"model": "tensor", "factors": 5}),
+    (ACT_TENSOR, {"model": "tensor", "factors": [5]}),
+    (ACT_MATRIX, {"rows": [[1, None], [0, 1]]}),
+    (ACT_MATRIX, {"rows": [[1.9, 0.2], [0, 1]]}),
+    (ACT_MATRIX, {"rows": [[True, False], [False, True]]}),
+    (["skew-howe"], {"rows": ["01", "10"]}),
+    (["act", "--model", "tableau", "--word", "s[1,2]"],
+     {"rank": 3, "rows": [[1.0, 2], [3]]}),
+    (["gt"], {"rows": [[5.5, 3, 1], [4, 2], [3]]}),
+    (ACT_TENSOR, {"model": "fundamental", "rank": 3, "bits": [1.0, 0, 0]}),
+], ids=["matrix-list", "matrix-rows-int", "skew-howe-list",
+        "skew-howe-rows-int", "gt-rows-int", "tensor-factors-int",
+        "tensor-factor-int", "matrix-null", "matrix-float", "matrix-bool",
+        "skew-howe-string-rows", "tableau-float", "gt-float",
+        "fundamental-float"])
+def test_malformed_input_is_bad_input(tmp_path, capsys, argv, payload):
+    # entries must be JSON integers and containers the right kind; anything
+    # else is bad input, never a crash (exit 1) or a silent truncation
+    assert run(argv + ["--in", write(tmp_path, "in.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_outer_action_on_a_non_tensor_element_is_a_usage_error(tmp_path,
+                                                              capsys):
+    path = write(tmp_path, "v.json",
+                 {"model": "fundamental", "rank": 3, "bits": [1, 0, 0]})
+    assert run(ACT_TENSOR + ["--mode", "outer", "--in", path]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert run(ACT_TENSOR + ["--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["bits"] == [0, 1, 0]
+
+
 def test_verify_agree_and_goldens(capsys):
     assert run(["verify", "agree", "--n", "3", "--m", "3"]) == 0
     out = capsys.readouterr().out
@@ -230,15 +274,21 @@ def test_broken_model_is_a_failure_not_an_error(capsys, monkeypatch):
     assert "0/1 passed" in out
 
 
-def test_explicit_instance_over_budget_is_an_error(capsys):
-    assert run(["verify", "agree", "--n", "3", "--m", "3",
-                "--budget", "50"]) == 2
+@pytest.mark.parametrize("target",
+                         ["agree", "corollary", "commute", "dual", "counting"])
+def test_matrix_target_over_budget_is_an_error(capsys, target):
+    # the registry cost is the only budget: the verifiers themselves take
+    # (n, m, N) and enumerate whatever they are given
+    argv = ["verify", target, "--n", "3", "--m", "3", "--budget", "50"]
+    assert run(argv) == 2
     assert "--force" in capsys.readouterr().err
-    assert run(["verify", "agree", "--n", "3", "--m", "3",
-                "--budget", "50", "--force"]) == 0
-    capsys.readouterr()
-    # the model targets and bk follow the same rule; bk costs its pattern
-    # count, as its rows in `verify all` do
+    assert run(argv + ["--force"]) == 0
+    assert capsys.readouterr().out.endswith("10/10 passed\n")
+
+
+def test_explicit_instance_over_budget_is_an_error(capsys):
+    # the model targets and bk follow the matrix targets' rule; bk costs its
+    # pattern count, as its rows in `verify all` do
     xi = ["verify", "xi", "--model", "tableau", "--rank", "3", "--shape", "2,1",
           "--budget", "3"]
     bk = ["verify", "bk", "--rank", "4", "--shape", "3,2,1", "--budget", "1"]

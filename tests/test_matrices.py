@@ -9,14 +9,14 @@ from glcrystals.core import check_crystal_axioms, is_morphism
 from glcrystals.goldens import MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2
 from glcrystals.gt import pattern_crystal, tableau_to_gt
 from glcrystals.matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi,
-                                 bit_matrices, bit_matrix, check_budget,
-                                 col_eps_profile, col_phi_profile,
-                                 col_structure, col_weight, col_word, dims,
-                                 from_json, fundamental_crystal,
-                                 matrix_col_crystal, matrix_from_col_word,
-                                 matrix_row_crystal, row_eps_profile,
-                                 row_phi_profile, row_structure, row_weight,
-                                 to_json, to_text, verify_commutation,
+                                 bit_matrices, bit_matrix, col_eps_profile,
+                                 col_phi_profile, col_structure, col_weight,
+                                 col_word, dims, from_json,
+                                 fundamental_crystal, matrix_col_crystal,
+                                 matrix_from_col_word, matrix_row_crystal,
+                                 row_eps_profile, row_phi_profile,
+                                 row_structure, row_weight, to_json, to_text,
+                                 verify_commutation,
                                  verify_dual_implementation)
 from glcrystals.tableaux import tableau_crystal
 from glcrystals.tensor import tensor_crystal
@@ -398,14 +398,6 @@ def test_eps_phi_match_models():
         for i in (1, 2):
             assert row.eps(i, M) == Reps(M, i) and row.phi(i, M) == Rphi(M, i)
         assert col.eps(1, M) == Ceps(M, 1) and col.phi(1, M) == Cphi(M, 1)
-
-
-def test_budget_guard():
-    with pytest.raises(ValueError):
-        check_budget(4, 4, 8, budget=100)
-    check_budget(4, 4, 8, budget=100, force=True)
-    with pytest.raises(ValueError):
-        verify_commutation(4, 4, 8, budget=100)
 
 
 def test_validation():

@@ -509,8 +509,3 @@ def _splice_without_half_turn(M, lo, hi, block_xi):
 def test_outer_route_catches_seeded_faults(monkeypatch, name, fault):
     monkeypatch.setattr(skewhowe, name, fault)
     assert first_outer_mismatch(6) is not None
-
-
-def test_budget_guard_on_verifiers():
-    with pytest.raises(ValueError):
-        verify_agreement(4, 4, 8, budget=10)
