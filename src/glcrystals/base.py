@@ -1,6 +1,7 @@
-"""Shared exact combinatorics: strict integer rows for input, partitions,
-integer weight vectors, type-A Dynkin intervals with their diagram
-involution, block-reversal permutations, and a brute-force Schur oracle.
+"""Shared exact combinatorics: strict integer rows and fields for input,
+partitions, integer weight vectors, type-A Dynkin intervals with their
+diagram involution, block-reversal permutations, and a brute-force Schur
+oracle.
 
 Node indices are 1-based throughout: the Dynkin diagram of gl_k has nodes
 {1, ..., k-1} and the interval written (p, q) covers nodes {p, ..., q-1}.
@@ -29,6 +30,25 @@ def int_rows(rows) -> tuple[tuple[int, ...], ...]:
             if type(v) is not int:
                 raise ValueError(f"entry {v!r} is not an integer")
     return tuple(map(tuple, rows))
+
+
+def field(obj: dict, name: str):
+    """The field `name` of a JSON input object; a missing field is bad input
+    named as such, not a bare KeyError."""
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"input has no {name!r} field") from None
+
+
+def int_field(obj: dict, name: str) -> int:
+    """An integer field of a JSON input object.  Like the entries of
+    `int_rows`, the value must be an int, not a bool: `int()` would read
+    2.9 as 2 and fail on null with a TypeError."""
+    value = field(obj, name)
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} is not an integer: {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

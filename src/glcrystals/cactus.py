@@ -154,13 +154,21 @@ def verify_cactus_relations(crystal: Crystal, elements) -> Report:
 def verify_reduced_braid(crystal: Crystal, elements) -> Report:
     """Pointwise braid relations for the single-node reflections: squares
     vanish, adjacent nodes satisfy the order-3 relation, distant nodes
-    commute."""
+    commute.
+
+    Each (node, element) pair is reflected once per call, the first time a
+    check reads it; the table is freed when the call returns."""
     instance = {"rank": crystal.rank, "size": len(elements)}
     k = crystal.rank
     checked = 0
+    reflected = {}
 
     def refl(i, b):
-        return kashiwara_reflection(crystal, b, i)
+        try:
+            return reflected[i, b]
+        except KeyError:
+            reflected[i, b] = x = kashiwara_reflection(crystal, b, i)
+            return x
 
     for b in elements:
         for i in range(1, k):

@@ -10,7 +10,7 @@ import json
 from functools import lru_cache
 from itertools import product
 
-from .base import Weight, int_rows, intervals, partition
+from .base import Weight, field, int_field, int_rows, intervals, partition
 from .core import Crystal, Report, schuetzenberger
 from .tableaux import Rows, ssyt, tableau_crystal
 
@@ -221,8 +221,8 @@ def to_json(x: Pattern) -> str:
 def from_json(obj) -> Pattern:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    x = gt_pattern(obj["rows"])
-    if "rank" in obj and int(obj["rank"]) != rank_of(x):
+    x = gt_pattern(field(obj, "rows"))
+    if "rank" in obj and int_field(obj, "rank") != rank_of(x):
         raise ValueError("rank field disagrees with row count")
     return x
 

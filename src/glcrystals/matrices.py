@@ -16,7 +16,7 @@ import json
 from functools import lru_cache
 from itertools import combinations
 
-from .base import Weight, int_rows
+from .base import Weight, field, int_field, int_rows
 from .core import Crystal, Report
 from .tensor import TensorCrystal, tensor_crystal
 
@@ -417,53 +417,70 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
     preserves the C weight and all C eps/phi values and commutes with each
     C operator wherever both sides are defined, and symmetrically.
 
-    Each matrix's own weights, eps/phi vectors and operator results are
-    computed once and read by every check of that matrix.
+    A matrix's weights, eps/phi vectors and operator results are computed
+    once per call, the first time a check reads them, and shared with every
+    check that reads them, including the checks of the matrices whose
+    operator target it is.  The table is freed when the call returns.
     """
     instance = {"n": n, "m": m, "N": N}
     checked = 0
     r_nodes, c_nodes = range(1, m), range(1, n)
+    table = {}
+
+    def values(M):
+        # filled on first read, not from bit_matrices: a broken operator may
+        # leave the instance's matrix set, and its target is still checked
+        try:
+            return table[M]
+        except KeyError:
+            table[M] = vals = (
+                [(Re(M, i), Rf(M, i)) for i in r_nodes],
+                [(Ce(M, j), Cf(M, j)) for j in c_nodes],
+                row_weight(M), col_weight(M),
+                [(Reps(M, i), Rphi(M, i)) for i in r_nodes],
+                [(Ceps(M, j), Cphi(M, j)) for j in c_nodes])
+            return vals
 
     def bad(msg, M):
         return Report("commutation", instance, checked, "fail",
                       f"{msg} at {_flat(M)}")
 
     for M in bit_matrices(n, m, N):
-        r_moves = [(Re(M, i), Rf(M, i)) for i in r_nodes]
-        c_moves = [(Ce(M, j), Cf(M, j)) for j in c_nodes]
-        r_weight, c_weight = row_weight(M), col_weight(M)
-        r_vals = [(Reps(M, i), Rphi(M, i)) for i in r_nodes]
-        c_vals = [(Ceps(M, j), Cphi(M, j)) for j in c_nodes]
+        r_moves, c_moves, r_weight, c_weight, r_vals, c_vals = values(M)
         for i, moves in zip(r_nodes, r_moves):
             for target in moves:
                 if target is None:
                     continue
                 checked += 1
-                if col_weight(target) != c_weight:
+                _, _, _, t_weight, _, t_vals = values(target)
+                if t_weight != c_weight:
                     return bad(f"R op at {i} moved the column-structure weight", M)
-                for j, (ep, ph) in zip(c_nodes, c_vals):
-                    if Ceps(target, j) != ep or Cphi(target, j) != ph:
+                for j, ours, theirs in zip(c_nodes, c_vals, t_vals):
+                    if theirs != ours:
                         return bad(f"R op at {i} moved C eps/phi at {j}", M)
         for j, moves in zip(c_nodes, c_moves):
             for target in moves:
                 if target is None:
                     continue
                 checked += 1
-                if row_weight(target) != r_weight:
+                _, _, t_weight, _, t_vals, _ = values(target)
+                if t_weight != r_weight:
                     return bad(f"C op at {j} moved the row-structure weight", M)
-                for i, (ep, ph) in zip(r_nodes, r_vals):
-                    if Reps(target, i) != ep or Rphi(target, i) != ph:
+                for i, ours, theirs in zip(r_nodes, r_vals, t_vals):
+                    if theirs != ours:
                         return bad(f"C op at {j} moved R eps/phi at {i}", M)
+        # the C move c at node j of a must equal the R move r at node i of
+        # b, where move 0 raises and move 1 lowers
         for i, (r_up, r_dn) in zip(r_nodes, r_moves):
             for j, (c_up, c_dn) in zip(c_nodes, c_moves):
-                for a, b, rop, cop, tag in ((r_up, c_up, Re, Ce, "Re/Ce"),
-                                            (r_up, c_dn, Re, Cf, "Re/Cf"),
-                                            (r_dn, c_up, Rf, Ce, "Rf/Ce"),
-                                            (r_dn, c_dn, Rf, Cf, "Rf/Cf")):
+                for a, b, r, c, tag in ((r_up, c_up, 0, 0, "Re/Ce"),
+                                        (r_up, c_dn, 0, 1, "Re/Cf"),
+                                        (r_dn, c_up, 1, 0, "Rf/Ce"),
+                                        (r_dn, c_dn, 1, 1, "Rf/Cf")):
                     if a is None or b is None:
                         continue
                     checked += 1
-                    if cop(a, j) != rop(b, i):
+                    if values(a)[1][j - 1][c] != values(b)[0][i - 1][r]:
                         return bad(f"{tag} fail at ({i},{j})", M)
     return Report("commutation", instance, checked, "pass")
 
@@ -512,7 +529,8 @@ def to_json(M: Matrix) -> str:
 def from_json(obj) -> Matrix:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return bit_matrix(obj["rows"], n=obj.get("n"), m=obj.get("m"))
+    n, m = (int_field(obj, k) if k in obj else None for k in ("n", "m"))
+    return bit_matrix(field(obj, "rows"), n=n, m=m)
 
 
 def to_text(M: Matrix) -> str:

@@ -10,8 +10,8 @@ import json
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .base import (Partition, Weight, content, int_rows, partition,
-                   ssyt_fillings)
+from .base import (Partition, Weight, content, field, int_field, int_rows,
+                   partition, ssyt_fillings)
 from .core import Crystal
 
 Rows = tuple[tuple[int, ...], ...]
@@ -239,8 +239,8 @@ def to_json(rows: Rows, rank: int) -> str:
 def from_json(obj) -> tuple[Rows, int]:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    rank = int(obj["rank"])
-    return ssyt(obj["rows"], rank), rank
+    rank = int_field(obj, "rank")
+    return ssyt(field(obj, "rows"), rank), rank
 
 
 def pretty(rows: Rows) -> str:

@@ -8,7 +8,7 @@ vectors, nested tensors) as long as all share one rank.
 import json
 from functools import lru_cache
 
-from .base import Weight, int_rows, pairing
+from .base import Weight, field, int_field, int_rows, pairing
 from .core import Crystal
 
 
@@ -140,20 +140,20 @@ def element_from_json(obj) -> tuple[Crystal, object]:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a model-tagged object, got {obj!r}")
-    tag = obj["model"]
+    tag = field(obj, "model")
     if tag == "tensor":
-        factors = obj["factors"]
+        factors = field(obj, "factors")
         if not isinstance(factors, list):
             raise ValueError(f"tensor factors must be a list, got {factors!r}")
         pairs = [element_from_json(f) for f in factors]
         crystal = tensor_crystal(*(m for m, _ in pairs))
         return crystal, tuple(x for _, x in pairs)
     if tag == "tableau":
-        rank = int(obj["rank"])
-        return tableau_crystal(rank), ssyt(obj["rows"], rank)
+        rank = int_field(obj, "rank")
+        return tableau_crystal(rank), ssyt(field(obj, "rows"), rank)
     if tag == "fundamental":
-        rank = int(obj["rank"])
-        bits = int_rows([obj["bits"]])[0]
+        rank = int_field(obj, "rank")
+        bits = int_rows([field(obj, "bits")])[0]
         if len(bits) != rank or any(v not in (0, 1) for v in bits):
             raise ValueError(f"bad 0/1 vector {bits} for rank {rank}")
         return fundamental_crystal(rank), bits

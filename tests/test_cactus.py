@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from glcrystals import cactus
@@ -286,6 +289,72 @@ def test_braid_small():
     rep = verify_reduced_braid(matrix_row_crystal(3, 3),
                                list(bit_matrices(3, 3, 3)))
     assert rep.ok, rep.witness
+
+
+def _braid_pools():
+    return {"tableau": (tableau_crystal(4), enumerate_b_lambda((2, 1), 4)),
+            "matrix": (matrix_row_crystal(2, 4), all_matrices(2, 4))}
+
+
+@pytest.mark.parametrize("pool", ["tableau", "matrix"])
+def test_braid_reflects_each_node_and_element_once(monkeypatch, pool):
+    crystal, elements = _braid_pools()[pool]
+    real = cactus.kashiwara_reflection
+    calls = Counter()
+
+    def counting(crystal, b, i):
+        calls[i, b] += 1
+        return real(crystal, b, i)
+
+    monkeypatch.setattr(cactus, "kashiwara_reflection", counting)
+    assert verify_reduced_braid(crystal, elements).ok
+    assert calls and max(calls.values()) == 1
+
+
+def _string_end_at_1(real, crystal, b, i):
+    """Node 1 lowers to the end of its string: squares break."""
+    if i != 1:
+        return real(crystal, b, i)
+    while (c := crystal.f(1, b)) is not None:
+        b = c
+    return b
+
+
+def _identity_at_2(real, crystal, b, i):
+    """Node 2 reflects nothing: squares hold, the order-3 relation breaks."""
+    return b if i == 2 else real(crystal, b, i)
+
+
+def _node_3_as_2(real, crystal, b, i):
+    """Node 3 reflects at node 2: squares and the order-3 relations hold on
+    rank 4, the distant pair (1, 3) does not commute."""
+    return real(crystal, b, 2 if i == 3 else i)
+
+
+# fault -> pool -> (checked, witness) of the first failure
+BRAID_FAULTS = {
+    "squares": (_string_end_at_1, {
+        "tableau": (1, "s_1 squared != id at 1,1/2"),
+        "matrix": (7, "s_1 squared != id at 10000000")}),
+    "order-3": (_identity_at_2, {
+        "tableau": (4, "(s_1 s_2)^3 != id at 1,1/2"),
+        "matrix": (10, "(s_1 s_2)^3 != id at 10000000")}),
+    "distant": (_node_3_as_2, {
+        "tableau": (6, "s_1, s_3 do not commute at 1,1/2"),
+        "matrix": (12, "s_1, s_3 do not commute at 10000000")}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BRAID_FAULTS))
+@pytest.mark.parametrize("pool", ["tableau", "matrix"])
+def test_braid_fails_on_seeded_faults(monkeypatch, fault, pool):
+    crystal, elements = _braid_pools()[pool]
+    wrap, expected = BRAID_FAULTS[fault]
+    monkeypatch.setattr(cactus, "kashiwara_reflection",
+                        partial(wrap, cactus.kashiwara_reflection))
+    rep = verify_reduced_braid(crystal, elements)
+    assert rep.status == "fail"
+    assert (rep.checked, rep.witness) == expected[pool]
 
 
 # ---------------------------------------------------------------------------

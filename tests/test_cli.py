@@ -137,6 +137,7 @@ def test_skew_howe_malformed_input_is_a_usage_error(tmp_path, capsys,
 
 ACT_MATRIX = ["act", "--model", "matrix", "--word", "s[1,2]"]
 ACT_TENSOR = ["act", "--model", "tensor", "--word", "s[1,2]"]
+ACT_TABLEAU = ["act", "--model", "tableau", "--word", "s[1,2]"]
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -151,15 +152,24 @@ ACT_TENSOR = ["act", "--model", "tensor", "--word", "s[1,2]"]
     (ACT_MATRIX, {"rows": [[1.9, 0.2], [0, 1]]}),
     (ACT_MATRIX, {"rows": [[True, False], [False, True]]}),
     (["skew-howe"], {"rows": ["01", "10"]}),
-    (["act", "--model", "tableau", "--word", "s[1,2]"],
-     {"rank": 3, "rows": [[1.0, 2], [3]]}),
+    (ACT_TABLEAU, {"rank": 3, "rows": [[1.0, 2], [3]]}),
     (["gt"], {"rows": [[5.5, 3, 1], [4, 2], [3]]}),
     (ACT_TENSOR, {"model": "fundamental", "rank": 3, "bits": [1.0, 0, 0]}),
+    (ACT_TABLEAU, {"rank": None, "rows": [[1]]}),
+    (ACT_TABLEAU, {"rank": 2.9, "rows": [[1, 2]]}),
+    (["gt"], {"rank": True, "rows": [[2]]}),
+    (["gt"], {"rank": "3", "rows": [[2, 1, 0], [2, 1], [2]]}),
+    (ACT_TENSOR, {"model": "tensor", "factors": [
+        {"model": "tableau", "rank": None, "rows": [[1]]}]}),
+    (ACT_TENSOR, {"model": "fundamental", "rank": 3.0, "bits": [1, 0, 0]}),
+    (ACT_MATRIX, {"n": 2.0, "rows": [[1, 0], [0, 1]]}),
 ], ids=["matrix-list", "matrix-rows-int", "skew-howe-list",
         "skew-howe-rows-int", "gt-rows-int", "tensor-factors-int",
         "tensor-factor-int", "matrix-null", "matrix-float", "matrix-bool",
         "skew-howe-string-rows", "tableau-float", "gt-float",
-        "fundamental-float"])
+        "fundamental-float", "tableau-rank-null", "tableau-rank-float",
+        "gt-rank-bool", "gt-rank-string", "tensor-tableau-rank-null",
+        "fundamental-rank-float", "matrix-n-float"])
 def test_malformed_input_is_bad_input(tmp_path, capsys, argv, payload):
     # entries must be JSON integers and containers the right kind; anything
     # else is bad input, never a crash (exit 1) or a silent truncation
@@ -167,6 +177,25 @@ def test_malformed_input_is_bad_input(tmp_path, capsys, argv, payload):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, payload, missing", [
+    (["skew-howe"], {"model": "tensor", "factors": 5}, "rows"),
+    (ACT_MATRIX, {"n": 2, "m": 2}, "rows"),
+    (ACT_TENSOR, {"n": 2, "m": 2, "rows": [[1, 0], [0, 1]]}, "model"),
+    (ACT_TENSOR, {"model": "tensor"}, "factors"),
+    (ACT_TENSOR, {"model": "fundamental", "bits": [1, 0, 0]}, "rank"),
+    (ACT_TENSOR, {"model": "fundamental", "rank": 3}, "bits"),
+    (ACT_TABLEAU, {"rows": [[1]]}, "rank"),
+    (ACT_TABLEAU, {"rank": 2}, "rows"),
+    (["gt"], {"rank": 3}, "rows"),
+], ids=["skew-howe-rows", "matrix-rows", "tensor-model", "tensor-factors",
+        "fundamental-rank", "fundamental-bits", "tableau-rank", "tableau-rows",
+        "gt-rows"])
+def test_missing_input_field_is_named(tmp_path, capsys, argv, payload,
+                                      missing):
+    assert run(argv + ["--in", write(tmp_path, "in.json", payload)]) == 2
+    assert capsys.readouterr().err == f"error: input has no {missing!r} field\n"
 
 
 def test_outer_action_on_a_non_tensor_element_is_a_usage_error(tmp_path,

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -313,6 +314,24 @@ def test_operator_verifiers_fail_on_seeded_faults(monkeypatch, name, fault,
         rep = verify(3, 3, 4)
         assert rep.status == "fail"
         assert (rep.checked, rep.witness) == expected
+
+
+def test_commutation_computes_each_operator_once_per_matrix_and_node(
+        monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def op(M, k):
+            calls[name, M, k] += 1
+            return real(M, k)
+        return op
+
+    for name in ("Re", "Rf", "Ce", "Cf"):
+        monkeypatch.setattr(matrices, name,
+                            counting(name, getattr(matrices, name)))
+    assert verify_commutation(3, 3, 4).ok
+    assert {name for name, _, _ in calls} == {"Re", "Rf", "Ce", "Cf"}
+    assert max(calls.values()) == 1
 
 
 def test_operator_verifier_totals_are_pinned():
