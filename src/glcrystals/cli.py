@@ -247,10 +247,11 @@ def cmd_verify(args) -> int:
 
     def run_one(label, thunk):
         # every input is validated before any instance runs, so a
-        # ValueError here comes from a broken model: a failure, not an error
+        # ValueError here, or the AssertionError of a library cross-check,
+        # comes from a broken model: a failure, not an error
         try:
             return thunk()
-        except ValueError as exc:
+        except (ValueError, AssertionError) as exc:
             return Report(label, {}, 0, "fail", str(exc))
 
     def require_rank(rank):

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .base import (Partition, Weight, content, field, int_field, int_rows,
                    partition, ssyt_fillings)
-from .core import Crystal
+from .core import Crystal, component
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -200,33 +200,26 @@ def tableau_crystal(rank: int) -> TableauCrystal:
 
 
 def enumerate_b_lambda(shape, rank: int, cross_check: bool = False) -> list[Rows]:
-    """Closure of the highest tableau of `shape` under all lowering
-    operators; with cross_check=True, assert it equals direct backtracking
-    over fillings.  Sorted by canonical string.
+    """The semistandard tableaux of `shape` with entries in 1..rank, by
+    backtracking over fillings, sorted by canonical string.
+
+    With cross_check=True, check that they form one connected crystal: the
+    component of the highest tableau, walked in a model of its own so that
+    no edge record outlives the check, must be exactly this set (the walk
+    itself raises unless it has one highest and one lowest element).
     """
     shape = partition(shape)
     if len(shape) > rank:
         raise ValueError(f"shape {shape} needs more than {rank} rows")
-    model = tableau_crystal(rank)
-    if not shape:
-        return [()]
-    seed = highest_tableau(shape)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for i in range(1, rank):
-            y = apply_f(x, i)
-            if y is not None and y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    if cross_check:
-        direct = set(ssyt_fillings(shape, rank))
-        if seen != direct:
+    model = TableauCrystal(rank)
+    fillings = sorted(ssyt_fillings(shape, rank), key=model.canon)
+    if cross_check and shape:
+        closure = component(model, highest_tableau(shape), model.nodes()).elements
+        if closure != set(fillings):
             raise AssertionError(
-                f"operator closure has {len(seen)} tableaux, backtracking "
-                f"{len(direct)}, for shape {shape} rank {rank}")
-    return sorted(seen, key=model.canon)
+                f"operator closure has {len(closure)} tableaux, backtracking "
+                f"{len(fillings)}, for shape {shape} rank {rank}")
+    return fillings
 
 
 # ---------------------------------------------------------------------------

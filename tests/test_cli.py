@@ -375,6 +375,29 @@ def test_out_file(tmp_path):
     assert target.read_text().count("->") == 1
 
 
+def test_a_failed_library_cross_check_is_a_verify_failure():
+    # node 2 of the tableau operators lowers nothing, so the oracle's
+    # closure check raises AssertionError on B(1) of rank 3
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys\n"
+              "from glcrystals import cli, tableaux\n"
+              "real = tableaux.apply_f\n"
+              "tableaux.apply_f = lambda rows, i: "
+              "None if i == 2 else real(rows, i)\n"
+              "sys.exit(cli.run(['verify', 'all', '--budget', '1']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert ("FAIL oracle rank=3 shape=1 (checked=0)  witness: operator "
+            "closure has 2 tableaux, backtracking 3, for shape (1,) rank 3"
+            in lines)
+    passed, total = map(int, lines[-1].removesuffix(" passed").split("/"))
+    assert passed < total
+
+
 def test_module_entry_point_exits_with_the_verify_status():
     # main() and `python -m glcrystals.cli`, which run() alone does not reach
     src = Path(__file__).resolve().parent.parent / "src"

@@ -11,6 +11,7 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              verify_local_involution)
 from glcrystals.gt import check_cgp_homomorphism
 from glcrystals.matrices import fundamental_crystal
+from glcrystals.suites import tableau_shapes
 from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f,
                                  enumerate_b_lambda, evacuate, from_json,
                                  highest_tableau, pretty, signature, ssyt,
@@ -135,11 +136,37 @@ def test_enumerate_sizes():
     assert sum(schur_bruteforce((2, 1, 0), 3).values()) == 8
     big = enumerate_b_lambda((5, 3, 1), 3, cross_check=True)
     assert len(big) == sum(1 for _ in ssyt_fillings((5, 3, 1), 3))
+    for cross_check in (False, True):
+        assert enumerate_b_lambda((), 0, cross_check) == [()]
+        assert enumerate_b_lambda((3,), 1, cross_check) == [((1, 1, 1),)]
 
 
 def test_enumerate_needs_enough_rows():
     with pytest.raises(ValueError):
         enumerate_b_lambda((1, 1, 1), 2)
+
+
+def test_enumerate_closure_check_can_fail(monkeypatch):
+    # node 2 lowers nothing
+    real = tableaux.apply_f
+    monkeypatch.setattr(tableaux, "apply_f",
+                        lambda rows, i: None if i == 2 else real(rows, i))
+    # backtracking reads no operator, so the set itself is intact ...
+    assert len(enumerate_b_lambda((2, 1), 3)) == 8
+    # ... and only the closure check sees the broken node
+    with pytest.raises((AssertionError, ValueError),
+                       match=r"operator closure has \d+ tableaux, backtracking 8"
+                             r"|highest / \d+ lowest"):
+        enumerate_b_lambda((2, 1), 3, cross_check=True)
+
+
+def test_enumerate_closure_check_retains_nothing():
+    for rank, shape in tableau_shapes():
+        model = tableau_crystal(rank)
+        before = len(model._edges), len(model._xi_cache)
+        assert (enumerate_b_lambda(shape, rank, cross_check=True)
+                == enumerate_b_lambda(shape, rank)), (rank, shape)
+        assert (len(model._edges), len(model._xi_cache)) == before
 
 
 def test_weight_examples():
