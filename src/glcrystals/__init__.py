@@ -29,7 +29,7 @@ from .skewhowe import (DualityPair, cf_max, doubly_extreme_shape, duality_inv,
                        verify_agreement, verify_corollary, verify_counting)
 from .tableaux import (TableauCrystal, apply_e, apply_f, enumerate_b_lambda,
                        evacuate, highest_tableau, signature, ssyt,
-                       tableau_crystal, weight_of)
+                       tableau_crystal)
 from .tensor import TensorCrystal, tensor_crystal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

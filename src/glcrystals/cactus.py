@@ -13,6 +13,7 @@ their actions.
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .base import (DynkinInterval, Permutation, intervals, perm_compose,
                    perm_identity, theta_interval, weyl_longest)
@@ -156,19 +157,16 @@ def verify_reduced_braid(crystal: Crystal, elements) -> Report:
     vanish, adjacent nodes satisfy the order-3 relation, distant nodes
     commute.
 
-    Each (node, element) pair is reflected once per call, the first time a
-    check reads it; the table is freed when the call returns."""
+    Each (node, element) pair is reflected once per call through a
+    `functools.cache` made inside the call, the first time a check reads
+    it; the cache is freed when the call returns."""
     instance = {"rank": crystal.rank, "size": len(elements)}
     k = crystal.rank
     checked = 0
-    reflected = {}
 
+    @cache
     def refl(i, b):
-        try:
-            return reflected[i, b]
-        except KeyError:
-            reflected[i, b] = x = kashiwara_reflection(crystal, b, i)
-            return x
+        return kashiwara_reflection(crystal, b, i)
 
     for b in elements:
         for i in range(1, k):

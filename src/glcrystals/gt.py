@@ -7,7 +7,8 @@ above.  Row j (of length j, counted from the bottom) is rows[n-j].
 """
 
 import json
-from functools import lru_cache
+from bisect import bisect_right
+from functools import cache, lru_cache
 from itertools import product
 
 from .base import Weight, field, int_field, int_rows, intervals, partition
@@ -70,16 +71,12 @@ def gt_to_tableau(x: Pattern) -> Rows:
 
 
 def tableau_to_gt(rows: Rows, rank: int) -> Pattern:
-    """Inverse bijection: row j records the shape of the entries at most j."""
+    """Inverse bijection: row j records the shape of the entries at most j.
+    Rows weakly increase, so those entries are a prefix of each row."""
     out = []
     for j in range(rank, 0, -1):
-        shape = []
-        for r in range(j):
-            count = 0
-            if r < len(rows):
-                count = sum(1 for v in rows[r] if v <= j)
-            shape.append(count)
-        out.append(tuple(shape))
+        shape = [bisect_right(row, j) for row in rows[:j]]
+        out.append(tuple(shape) + (0,) * (j - len(shape)))
     return gt_pattern(out)
 
 
@@ -184,26 +181,22 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
 
     The generator is computed by edge transport, not by the tableau model's
     evacuation, so the toggles are checked against an independent route.
-    Each (pattern, index) toggle is computed once per call; the memo dies
-    with the call, so a replaced `bk_q` takes effect on the next one.
+    Each (pattern, index) toggle is computed once per call through a
+    `functools.cache` made inside the call; the cache is freed when the
+    call returns, so a replaced `bk_q` takes effect on the next one.
     """
     lam = partition(lam)
     instance = {"lam": list(lam), "n": n}
     model = tableau_crystal(n)
     pool = [(x, gt_to_tableau(x)) for x in patterns_with_top(lam, n)]
-    toggles = {}
+    toggle = cache(bk_q)
     checked = 0
     for g in intervals(n):
         i, j, nodes = g.p, g.q, g.nodes
         for x, t in pool:
             checked += 1
             via_crystal = tableau_to_gt(schuetzenberger(model, t, nodes), n)
-            via_moves = x
-            for q_index in (j - 1, j - i, j - 1):
-                key = (via_moves, q_index)
-                if key not in toggles:
-                    toggles[key] = bk_q(*key)
-                via_moves = toggles[key]
+            via_moves = toggle(toggle(toggle(x, j - 1), j - i), j - 1)
             if via_crystal != via_moves:
                 return Report("cgp-homomorphism", instance, checked, "fail",
                               f"{g} disagrees with "

@@ -13,7 +13,7 @@ stay the per-position oracles they are checked against.
 """
 
 import json
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .base import Weight, field, int_field, int_rows
@@ -418,28 +418,24 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
     C operator wherever both sides are defined, and symmetrically.
 
     A matrix's weights, eps/phi vectors and operator results are computed
-    once per call, the first time a check reads them, and shared with every
-    check that reads them, including the checks of the matrices whose
-    operator target it is.  The table is freed when the call returns.
+    once per call through a `functools.cache` made inside the call, the
+    first time a check reads them, and shared with every check that reads
+    them, including the checks of the matrices whose operator target it is.
+    The cache is freed when the call returns.
     """
     instance = {"n": n, "m": m, "N": N}
     checked = 0
     r_nodes, c_nodes = range(1, m), range(1, n)
-    table = {}
 
+    @cache
     def values(M):
         # filled on first read, not from bit_matrices: a broken operator may
         # leave the instance's matrix set, and its target is still checked
-        try:
-            return table[M]
-        except KeyError:
-            table[M] = vals = (
-                [(Re(M, i), Rf(M, i)) for i in r_nodes],
+        return ([(Re(M, i), Rf(M, i)) for i in r_nodes],
                 [(Ce(M, j), Cf(M, j)) for j in c_nodes],
                 row_weight(M), col_weight(M),
                 [(Reps(M, i), Rphi(M, i)) for i in r_nodes],
                 [(Ceps(M, j), Cphi(M, j)) for j in c_nodes])
-            return vals
 
     def bad(msg, M):
         return Report("commutation", instance, checked, "fail",

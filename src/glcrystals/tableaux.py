@@ -41,11 +41,6 @@ def shape_of(rows: Rows) -> Partition:
     return partition(len(row) for row in rows)
 
 
-def weight_of(rows: Rows, rank: int) -> Weight:
-    """Content vector: how many times each of 1..rank appears."""
-    return content(rows, rank)
-
-
 def signature(rows: Rows, i: int):
     """Column signature of rows for node i.
 
@@ -153,7 +148,7 @@ class TableauCrystal(Crystal):
     """Tableaux with entries in 1..rank under the signature-rule operators."""
 
     def weight(self, b: Rows) -> Weight:
-        return weight_of(b, self.rank)
+        return content(b, self.rank)
 
     def _check(self, i):
         if not 1 <= i <= self.rank - 1:

@@ -307,8 +307,10 @@ def test_braid_reflects_each_node_and_element_once(monkeypatch, pool):
         return real(crystal, b, i)
 
     monkeypatch.setattr(cactus, "kashiwara_reflection", counting)
-    assert verify_reduced_braid(crystal, elements).ok
-    assert calls and max(calls.values()) == 1
+    # the memo dies with its call: a second call reflects everything again
+    for _ in range(2):
+        assert verify_reduced_braid(crystal, elements).ok
+    assert calls and set(calls.values()) == {2}
 
 
 def _string_end_at_1(real, crystal, b, i):

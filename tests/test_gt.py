@@ -1,15 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from glcrystals import gt
+from glcrystals.base import content
 from glcrystals.cactus import inner_act, word
 from glcrystals.core import schuetzenberger, verify_local_involution
 from glcrystals.gt import (PatternCrystal, beta, bk_move, bk_q,
                            check_cgp_homomorphism, from_json, gt_pattern,
                            gt_to_tableau, pattern_crystal, patterns_with_top,
                            pretty, rank_of, tableau_to_gt, to_json)
-from glcrystals.tableaux import ssyt, weight_of
+from glcrystals.tableaux import ssyt
 from test_tableaux import small_shapes
 
 X = gt_pattern([(5, 3, 3, 1), (4, 3, 1), (4, 2), (3,)])
@@ -51,17 +54,18 @@ def test_bijection_single_row():
 
 
 def test_bijection_round_trip_exhaustive():
-    pool = list(patterns_with_top((2, 1, 0), 3))
-    assert len(pool) == 8
-    for x in pool:
-        assert tableau_to_gt(gt_to_tableau(x), 3) == x
+    assert len(list(patterns_with_top((2, 1, 0), 3))) == 8
+    for rank in (2, 3, 4):
+        for lam in small_shapes(rank, 6):
+            for x in patterns_with_top(lam, rank):
+                assert tableau_to_gt(gt_to_tableau(x), rank) == x
 
 
 def test_beta_is_tableau_content():
     for rank in (2, 3, 4):
         for lam in small_shapes(rank, 6):
             for x in patterns_with_top(lam, rank):
-                assert beta(x) == weight_of(gt_to_tableau(x), rank)
+                assert beta(x) == content(gt_to_tableau(x), rank)
 
 
 def test_bk_move_golden_chain():
@@ -120,6 +124,22 @@ def test_cgp_homomorphism():
     assert check_cgp_homomorphism((2,), 2).ok
     assert check_cgp_homomorphism((2, 1, 0), 3).ok
     assert check_cgp_homomorphism((2, 1, 1, 0), 4).ok
+
+
+def test_cgp_toggles_each_pattern_and_index_once_per_call(monkeypatch):
+    real = gt.bk_q
+    calls = Counter()
+
+    def counting(x, i):
+        calls[x, i] += 1
+        return real(x, i)
+
+    monkeypatch.setattr(gt, "bk_q", counting)
+    # the memo dies with its call: a second call toggles everything again
+    for lam, n in (((2, 1), 3), ((2, 1, 1), 4)):
+        for _ in range(2):
+            assert check_cgp_homomorphism(lam, n).ok
+    assert calls and set(calls.values()) == {2}
 
 
 def pattern_pool(lam, rank):

@@ -329,9 +329,11 @@ def test_commutation_computes_each_operator_once_per_matrix_and_node(
     for name in ("Re", "Rf", "Ce", "Cf"):
         monkeypatch.setattr(matrices, name,
                             counting(name, getattr(matrices, name)))
-    assert verify_commutation(3, 3, 4).ok
+    # the memo dies with its call: a second call computes everything again
+    for _ in range(2):
+        assert verify_commutation(3, 3, 4).ok
     assert {name for name, _, _ in calls} == {"Re", "Rf", "Ce", "Cf"}
-    assert max(calls.values()) == 1
+    assert set(calls.values()) == {2}
 
 
 def test_operator_verifier_totals_are_pinned():

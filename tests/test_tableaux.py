@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glcrystals import tableaux
-from glcrystals.base import partitions_in_box, schur_bruteforce, ssyt_fillings
+from glcrystals.base import (content, partitions_in_box, schur_bruteforce,
+                             ssyt_fillings)
 from glcrystals.cactus import inner_act, verify_cactus_relations, word
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              schuetzenberger, verify_involution_properties,
@@ -15,7 +16,7 @@ from glcrystals.suites import tableau_shapes
 from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f,
                                  enumerate_b_lambda, evacuate, from_json,
                                  highest_tableau, pretty, signature, ssyt,
-                                 tableau_crystal, to_json, weight_of)
+                                 tableau_crystal, to_json)
 from glcrystals.tensor import tensor_crystal
 
 T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
@@ -170,10 +171,10 @@ def test_enumerate_closure_check_retains_nothing():
 
 
 def test_weight_examples():
-    assert weight_of(ssyt([[1, 1], [2]], 2), 2) == (2, 1)
+    assert content(ssyt([[1, 1], [2]], 2), 2) == (2, 1)
     # content of the rank-4 display of shape (5,3,3,1)
     t = ssyt([(1, 1, 1, 2, 4), (2, 2, 3), (3, 4, 4), (4,)], 4)
-    assert weight_of(t, 4) == (3, 3, 2, 4)
+    assert content(t, 4) == (3, 3, 2, 4)
 
 
 def test_weight_reversed_by_involution():
