@@ -33,15 +33,19 @@ class Crystal:
             raise ValueError(f"rank must be non-negative, got {rank}")
         self.rank = rank
         self._nodes = tuple(range(1, rank))
-        # The only memos: involution tables keyed by interval node tuple,
-        # each mapping element -> image, filled once per component by
-        # `schuetzenberger` and never invalidated; and the edge records.
-        self._xi_cache: dict = {}
-        # One edge record per element value, shared by the walks of every
-        # interval, of length 2 * rank - 1: record[0] is the one object the
-        # memos keep for that value, and record[2j - 1] / record[2j] hold
-        # e_j / f_j of it: None (no edge), the record of the result, or
-        # _UNFILLED until a walk first needs them.
+        # Slot of each interval's involution image in an edge record, after
+        # the edge slots and in `intervals(rank)` order; fixed here, so it
+        # is part of the model, not a memo.
+        self._xi_slot = {g.nodes: 2 * rank - 1 + n
+                         for n, g in enumerate(intervals(rank))}
+        # The only memo: one edge record per element value, shared by the
+        # walks and transports of every interval and never invalidated.
+        # record[0] is the one object kept for that value; record[2j - 1] /
+        # record[2j] hold e_j / f_j of it: None (no edge), the record of
+        # the result, or _UNFILLED until a walk first needs them; and
+        # record[_xi_slot[nodes]] holds the record of its image under that
+        # interval's involution, or _UNFILLED until `schuetzenberger` has
+        # transported its whole component.
         self._edges: dict = {}
 
     # -- required model surface ------------------------------------------
@@ -123,13 +127,14 @@ def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     call; every result is replaced by the canonical object of its value.
     Notes each element without an e or an f edge as it goes and returns
     (the component's records, record of its highest, record of its lowest);
-    it memoizes nothing but the edge records.  A component without exactly
-    one highest-weight and one lowest-weight element means the model is
+    it memoizes nothing but the edge records, and a record it makes has
+    every edge and image slot _UNFILLED.  A component without exactly one
+    highest-weight and one lowest-weight element means the model is
     broken, and raises.
     """
     if nodes and not 1 <= min(nodes) <= max(nodes) < crystal.rank:
         raise ValueError(f"nodes {nodes} out of range 1..{crystal.rank - 1}")
-    blank = [_UNFILLED] * (2 * crystal.rank - 2)
+    blank = [_UNFILLED] * (2 * crystal.rank - 2 + len(crystal._xi_slot))
     steps = [(j, 2 * j - 1) for j in nodes]
     edges = crystal._edges
     e, f = crystal.e, crystal.f
@@ -263,51 +268,59 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
     lowest, and the image propagates along every edge with the node index
     twisted by the interval involution.  One walk reads the component's
     edges from the model's edge records, which the walks of every node set
-    share, and the involution is filled and memoized for all its elements,
-    which is what makes exhaustive verification sweeps affordable.  It
-    builds no `Component`.  Path independence against the directed
-    single-path variant is a tested property, not an assumption.
+    share, and the image of every element of the component is written into
+    the interval's image slot of its record, which is what makes exhaustive
+    verification sweeps affordable: a later call on any of them reads one
+    slot.  It builds no `Component`.  Path independence against the
+    directed single-path variant is a tested property, not an assumption.
 
     An empty node set gives the identity; any other node set that is not
-    one interval (p, ..., q-1) raises ValueError, and gets no table.
+    one interval (p, ..., q-1) raises ValueError and writes no image slot.
+    A transport that raises resets every image slot it wrote, so a repeat
+    call raises again.
     """
     nodes = tuple(nodes)
     if not nodes:
         return b
-    table = crystal._xi_cache.get(nodes)
-    if table is not None:
-        hit = table.get(b)
-        if hit is not None:
-            return hit
+    slot = crystal._xi_slot.get(nodes)
+    if slot is not None:
+        rec = crystal._edges.get(b)
+        if rec is not None:
+            img = rec[slot]
+            if img is not _UNFILLED:
+                return img[0]
     elif nodes != tuple(range(nodes[0], nodes[-1] + 1)):
-        # a table exists only for node sets that passed this check
         raise ValueError(f"nodes {nodes} do not form one interval")
+    # an interval outside 1..rank-1 has no slot, and the walk refuses it
     records, top, low = _walk(crystal, b, nodes)
     twisted = [(2 * j - 1, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
-    xi = {id(top): low}
-    filled = [top]
-    for x in filled:
-        img = xi[id(x)]
-        if img is None:
-            raise ValueError(
-                f"involution transport broke inside the component of "
-                f"{crystal.canon(b)} on nodes {nodes}")
-        for s, t in twisted:
-            y = x[s + 1]  # f_j(x), whose image is e_t(img)
-            if y is not None and id(y) not in xi:
-                xi[id(y)] = img[t]
-                filled.append(y)
-            y = x[s]  # e_j(x), whose image is f_t(img)
-            if y is not None and id(y) not in xi:
-                xi[id(y)] = img[t + 1]
-                filled.append(y)
-    if len(xi) != len(records):
-        raise ValueError("involution transport missed part of a component")
-    if table is None:
-        table = crystal._xi_cache[nodes] = {}
-    for x in filled:
-        table[x[0]] = xi[id(x)][0]
-    return table[b]
+    filled = []  # the records whose image slot this call wrote
+    if top[slot] is _UNFILLED:  # filled only where e and f are not inverse
+        top[slot] = low
+        filled.append(top)
+    try:
+        for x in filled:
+            img = x[slot]
+            if img is None:
+                raise ValueError(
+                    f"involution transport broke inside the component of "
+                    f"{crystal.canon(b)} on nodes {nodes}")
+            for s, t in twisted:
+                y = x[s + 1]  # f_j(x), whose image is e_t(img)
+                if y is not None and y[slot] is _UNFILLED:
+                    y[slot] = img[t]
+                    filled.append(y)
+                y = x[s]  # e_j(x), whose image is f_t(img)
+                if y is not None and y[slot] is _UNFILLED:
+                    y[slot] = img[t + 1]
+                    filled.append(y)
+        if len(filled) != len(records):
+            raise ValueError("involution transport missed part of a component")
+    except BaseException:
+        for x in filled:
+            x[slot] = _UNFILLED
+        raise
+    return crystal._edges[b][slot][0]
 
 
 def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest"):

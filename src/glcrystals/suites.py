@@ -42,11 +42,15 @@ def tableau_shapes() -> list:
 
 def in_order(checks, elements, instance: dict) -> Report:
     """Run (check, crystal) pairs in order on `elements`; the report of the
-    first failure, else of the last check, tagged with `instance`."""
+    first failure, else of the last check, tagged with `instance` and with
+    `checked` summed over the checks that ran."""
+    checked = 0
     for check, crystal in checks:
         rep = check(crystal, elements)
+        checked += rep.checked
         if not rep.ok:
             break
+    rep.checked = checked
     rep.instance.update(instance)
     return rep
 

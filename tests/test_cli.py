@@ -239,7 +239,15 @@ def test_verify_all_budget_50_output_is_pinned(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "1406/1406 passed"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9e9e64e65f0622eec0fdf96f945d43c4fad888b8d593375059fa16dbb0721710")
+        "83421d71e372366fa6749ac4168549b506617c4bef9cabc26e109a50170f8a71")
+
+
+def test_verify_all_row_counts_every_check_it_ran(capsys):
+    # the axioms row checks the row crystal (3 matrices x 2 nodes), then
+    # the column crystal, which has no node and checks nothing
+    assert run(["verify", "all", "--budget", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS axioms n=1 m=3 N=1 (checked=6)" in lines
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -19,6 +19,18 @@ from test_matrices import subsets
 from test_tensor import fundamentals
 
 
+def xi_images(crystal):
+    """nodes -> {element: image} over the filled image slots of the model's
+    edge records, for every interval with at least one filled slot."""
+    out = {}
+    for nodes, slot in crystal._xi_slot.items():
+        table = {x: rec[slot][0] for x, rec in crystal._edges.items()
+                 if rec[slot] is not core._UNFILLED}
+        if table:
+            out[nodes] = table
+    return out
+
+
 # ---------------------------------------------------------------------------
 # components
 
@@ -96,9 +108,77 @@ def test_component_flags_broken_model():
     broken = _TwoFooted()
     with pytest.raises(ValueError, match="1 highest / 2 lowest"):
         schuetzenberger(broken, 1, (1,))
-    # no table is made for a failed walk; the edge records it filled are
+    # a failed walk writes no image slot; the edge records it filled are
     # operator results, true whatever the walk concluded, so they may stay
-    assert broken._xi_cache == {}
+    assert xi_images(broken) == {}
+
+
+class _OneString(Crystal):
+    """Broken on purpose: rank 3 with the node-1 string 0 -> 1 -> 2 and no
+    node-2 edges, so on (1, 2) the walk finds one highest (0) and one
+    lowest (2) element, but f_1(0) = 1 must map to e_2(2), which is None."""
+
+    def __init__(self):
+        super().__init__(3)
+
+    def weight(self, x):
+        return (2 - x, x, 0)
+
+    def e(self, i, x):
+        return x - 1 if i == 1 and x > 0 else None
+
+    def f(self, i, x):
+        return x + 1 if i == 1 and x < 2 else None
+
+
+def test_broken_transport_resets_the_slots_it_wrote():
+    crystal = _OneString()
+    slot = crystal._xi_slot[(1, 2)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="involution transport broke"):
+            schuetzenberger(crystal, 1, (1, 2))
+        assert sorted(crystal._edges) == [0, 1, 2]
+        assert all(rec[slot] is core._UNFILLED
+                   for rec in crystal._edges.values())
+    # the node-1 string alone is a whole component, and transports
+    assert [schuetzenberger(crystal, x, (1,)) for x in range(3)] == [2, 1, 0]
+    with pytest.raises(ValueError, match="involution transport broke"):
+        schuetzenberger(crystal, 2, (1, 2))
+
+
+class _OneWayLoop(Crystal):
+    """Broken on purpose: e and f are not inverse.  From 0 or 1 the walk
+    sees the string 0 -> 1; from 2 it also sees 2 and 3, which reach the
+    string by e_1(2) = 1 but which no edge of 0 or 1 leads to."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def weight(self, x):
+        return (1 - x, x)
+
+    def e(self, i, x):
+        return {1: 0, 2: 1, 3: 2}.get(x)
+
+    def f(self, i, x):
+        return {0: 1, 2: 3, 3: 2}.get(x)
+
+
+def test_partial_transport_resets_the_slots_it_wrote():
+    crystal = _OneWayLoop()
+    slot = crystal._xi_slot[(1,)]
+    # from 2 the walk finds 0 highest and 1 lowest, but transport from 0
+    # never reaches 2 or 3
+    with pytest.raises(ValueError, match="missed part of a component"):
+        schuetzenberger(crystal, 2, (1,))
+    assert all(rec[slot] is core._UNFILLED for rec in crystal._edges.values())
+    # from 0 the walk sees only the string, which transports; its slots stay
+    # when the call from 2 fails again
+    assert [schuetzenberger(crystal, x, (1,)) for x in (0, 1)] == [1, 0]
+    with pytest.raises(ValueError, match="missed part of a component"):
+        schuetzenberger(crystal, 2, (1,))
+    assert [crystal._edges[x][slot] is core._UNFILLED
+            for x in range(4)] == [False, False, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +252,7 @@ def test_memo_hits_call_no_operator_and_add_no_table():
 
     def tables():
         return {"xi": {key: set(table)
-                       for key, table in crystal._xi_cache.items()},
+                       for key, table in xi_images(crystal).items()},
                 "edges": {x: tuple(map(id, record))
                           for x, record in crystal._edges.items()}}
 
@@ -200,7 +280,8 @@ def test_walks_refuse_nodes_outside_the_diagram():
 
 def test_transport_refuses_node_sets_that_are_not_one_interval():
     # transport twists node j to p + q - 1 - j, which is the interval's
-    # involution only on (p, ..., q-1); no table is built for another set
+    # involution only on (p, ..., q-1); no image slot is written for another
+    # set
     b = ssyt([[1, 1], [2]], 4)
     M = ((1, 0), (0, 1), (1, 1), (0, 0))
     for crystal, x in ((TableauCrystal(4), b), (MatrixColCrystal(4, 2), M),
@@ -210,7 +291,7 @@ def test_transport_refuses_node_sets_that_are_not_one_interval():
                           type(crystal).interval_involution):
                 with pytest.raises(ValueError, match="do not form one interval"):
                     route(crystal, x, nodes)
-        assert crystal._xi_cache == {}
+        assert xi_images(crystal) == {}
         assert schuetzenberger(crystal, x, ()) == x
         assert crystal.interval_involution(x, ()) == x
 
@@ -269,11 +350,13 @@ def test_memos_keep_one_object_per_element_value():
         for M in elements:
             comp = component(crystal, M, g.nodes)
             kept += [comp.highest, comp.lowest, *comp.elements]
-    for table in crystal._xi_cache.values():
+    images = xi_images(crystal)
+    for table in images.values():
         kept += list(table) + list(table.values())
     for x, record in crystal._edges.items():
-        kept += [x, *(y[0] for y in record[1:] if y is not None)]
-    assert len(crystal._xi_cache) == 3 and len(kept) > 1000
+        kept += [x, *(y[0] for y in record[1:]
+                      if y is not None and y is not core._UNFILLED)]
+    assert len(images) == 3 and len(kept) > 1000
     canonical = {}
     for x in kept:
         assert canonical.setdefault(x, x) is x, x
@@ -289,21 +372,27 @@ def test_relation_sweep_builds_no_component(monkeypatch):
     elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
     assert len(elements) == 64
     assert verify_cactus_relations(crystal, elements).ok
-    assert sorted(crystal._xi_cache) == [(1,), (1, 2), (2,)]
-    assert all(len(table) == 64 for table in crystal._xi_cache.values())
+    images = xi_images(crystal)
+    assert sorted(images) == [(1,), (1, 2), (2,)]
+    assert all(len(table) == 64 for table in images.values())
     assert len(crystal._edges) == 64
 
 
-def test_involution_verifier_leaves_only_the_two_memos():
-    # the path route takes its lowest element from the involution table,
-    # so no third memo appears beside the tables and the edge records
+def test_involution_verifier_leaves_only_the_edge_records():
+    # the path route takes its lowest element from the image slots, so no
+    # memo appears beside the edge records; the interval -> slot map is
+    # fixed when the model is built
     crystal = MatrixColCrystal(3, 2)  # fresh model, empty memo
+    slots = dict(crystal._xi_slot)
+    assert slots == {(1,): 5, (1, 2): 6, (2,): 7}
     elements = [M for ones in range(7) for M in bit_matrices(3, 2, ones)]
     assert verify_involution_properties(crystal, elements).ok
     memos = {name for name, value in vars(crystal).items()
              if isinstance(value, (dict, list, set))}
-    assert memos == {"_edges", "_xi_cache"}
-    assert len(crystal._xi_cache) == 3 and len(crystal._edges) == 64
+    assert memos == {"_edges", "_xi_slot"}
+    assert crystal._xi_slot == slots
+    assert len(xi_images(crystal)) == 3 and len(crystal._edges) == 64
+    assert all(len(record) == 8 for record in crystal._edges.values())
 
 
 def test_transport_verifiers_build_no_component(monkeypatch):
@@ -325,7 +414,7 @@ def test_transport_verifiers_build_no_component(monkeypatch):
     assert skewhowe.verify_agreement(3, 2, 3).ok
     assert skewhowe.verify_corollary(3, 2, 3).ok
     assert gt.check_cgp_homomorphism((2, 1), 3).ok
-    assert models and any(model._xi_cache for model in models)
+    assert models and any(xi_images(model) for model in models)
 
 
 # ---------------------------------------------------------------------------

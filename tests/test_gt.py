@@ -13,6 +13,7 @@ from glcrystals.gt import (PatternCrystal, beta, bk_move, bk_q,
                            gt_to_tableau, pattern_crystal, patterns_with_top,
                            pretty, rank_of, tableau_to_gt, to_json)
 from glcrystals.tableaux import ssyt
+from test_core import xi_images
 from test_tableaux import small_shapes
 
 X = gt_pattern([(5, 3, 3, 1), (4, 3, 1), (4, 2), (3,)])
@@ -177,7 +178,7 @@ def test_cold_pattern_word_builds_no_component():
     x = tableau_to_gt(ssyt([(1, 1, 2, 3), (2, 3, 4), (4, 5), (5,)], 5), 5)
     crystal = PatternCrystal(5)
     out = inner_act(word(5, (1, 5)), crystal, x)
-    assert crystal._xi_cache == {}
+    assert xi_images(crystal) == {}
     assert crystal._edges == {}
     assert out == schuetzenberger(PatternCrystal(5), x, (1, 2, 3, 4))
 

@@ -68,6 +68,18 @@ FAULTS = {
 }
 
 
+def test_in_order_sums_checked_over_the_checks_it_ran():
+    def check(checked, status):
+        return lambda crystal, elements: core.Report("c", {}, checked, status)
+
+    rep = suites.in_order([(check(2, "pass"), None), (check(3, "fail"), None),
+                           (check(5, "pass"), None)], [], {"n": 1})
+    assert (rep.checked, rep.status, rep.instance) == (5, "fail", {"n": 1})
+    rep = suites.in_order([(check(2, "pass"), None), (check(0, "pass"), None)],
+                          [], {"n": 1})
+    assert (rep.checked, rep.status) == (2, "pass")
+
+
 def _row(suite, label):
     thunks = {row_label: thunk for row_label, _, thunk in SUITES[suite]()}
     return thunks[label]

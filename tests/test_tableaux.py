@@ -18,6 +18,7 @@ from glcrystals.tableaux import (TableauCrystal, apply_e, apply_f,
                                  highest_tableau, pretty, signature, ssyt,
                                  tableau_crystal, to_json)
 from glcrystals.tensor import tensor_crystal
+from test_core import xi_images
 
 T_P = ssyt([(1, 1, 1, 2, 3), (2, 3, 3), (3,)], 3)
 
@@ -164,10 +165,10 @@ def test_enumerate_closure_check_can_fail(monkeypatch):
 def test_enumerate_closure_check_retains_nothing():
     for rank, shape in tableau_shapes():
         model = tableau_crystal(rank)
-        before = len(model._edges), len(model._xi_cache)
+        before = len(model._edges), xi_images(model)
         assert (enumerate_b_lambda(shape, rank, cross_check=True)
                 == enumerate_b_lambda(shape, rank)), (rank, shape)
-        assert (len(model._edges), len(model._xi_cache)) == before
+        assert (len(model._edges), xi_images(model)) == before
 
 
 def test_weight_examples():
@@ -346,6 +347,6 @@ def test_cold_tableau_word_builds_no_component():
     crystal = TableauCrystal(5)
     t = ssyt([(1, 1, 2, 3), (2, 3, 4), (4, 5), (5,)], 5)
     out = inner_act(word(5, (1, 5)), crystal, t)
-    assert crystal._xi_cache == {}
+    assert xi_images(crystal) == {}
     assert crystal._edges == {}
     assert out == schuetzenberger(TableauCrystal(5), t, (1, 2, 3, 4))
