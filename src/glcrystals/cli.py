@@ -171,7 +171,8 @@ def cmd_act(args) -> int:
                 raise UsageError("only tensor elements carry the outer action")
             w = parse_word(args.word, len(crystal.factors))
             out_crystal, out = outer_act(w, crystal, t)
-        _emit(args, json.dumps(element_to_json(out_crystal, out), indent=2))
+        _emit(args, json.dumps(element_to_json(out_crystal, out), indent=2)
+              if args.format == "json" else out_crystal.canon(out))
         return 0
     raise UsageError(f"model {args.model!r} not supported by act")
 
@@ -269,6 +270,10 @@ def cmd_verify(args) -> int:
             raise UsageError(f"verify {target} needs --n and --m")
         _check_matrix_size(args.n, args.m, args.N)
         rows = target_rows(target, args.n, args.m, args.N)
+        if not rows:
+            at = "" if args.N is None else f" N={args.N}"
+            raise UsageError(f"verify {target} has nothing to check at "
+                             f"n={args.n} m={args.m}{at}")
     elif target == "bk":
         if args.rank is None or args.shape is None:
             raise UsageError("verify bk needs --rank and --shape")

@@ -332,6 +332,9 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
     lowest element is the involution's image of the highest, taken from
     the walk's lowest record, so a memo hit costs no walk.
     """
+    if order not in ("smallest", "largest"):
+        raise ValueError(f"unknown path order {order!r}; "
+                         f"use 'smallest' or 'largest'")
     nodes = tuple(nodes)
     if not nodes:
         return b
@@ -345,15 +348,13 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
 def kashiwara_reflection(crystal: Crystal, b, i: int):
     """Single-node reflection: apply f_i or e_i |<wt, coroot_i>| times."""
     d = pairing(crystal.weight(b), i)
+    step = crystal.f if d >= 0 else crystal.e
     x = b
-    if d >= 0:
-        for _ in range(d):
-            x = crystal.f(i, x)
-    else:
-        for _ in range(-d):
-            x = crystal.e(i, x)
-    if x is None:
-        raise ValueError(f"reflection fell off the crystal at {crystal.canon(b)}")
+    for _ in range(abs(d)):
+        x = step(i, x)
+        if x is None:
+            raise ValueError(
+                f"reflection fell off the crystal at {crystal.canon(b)}")
     return x
 
 

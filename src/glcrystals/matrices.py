@@ -4,12 +4,14 @@ structures: reading the n rows as a tensor word gives a rank-m structure
 structure (the C operators).
 
 Each operator family is implemented twice on purpose: once through the
-generic tensor rule on the row/column word (`row_structure`,
-`col_structure`), and once through closed per-position formulas.  The two
-implementations are kept permanently as mutual oracles;
-verify_dual_implementation compares them exhaustively.  The closed formulas
-read each profile maximum in one running-sum scan; the `*_profile` lists
-stay the per-position oracles they are checked against.
+generic tensor rule on the row word (`row_structure`; `col_structure` is
+the row structure of the quarter turn `col_word`), and once through closed
+running-sum formulas that read each profile maximum in one scan.  The two
+are kept permanently as mutual oracles; verify_dual_implementation
+compares them exhaustively.  The per-position `*_profile` lists the
+kernels are checked against are the tensor rule's, `TensorCrystal.profiles`
+of the row word and, for the columns, of the quarter turn read back in
+column order.
 """
 
 import json
@@ -134,61 +136,30 @@ def row_structure(M: Matrix) -> tuple[TensorCrystal, tuple]:
 
 
 def col_structure(M: Matrix) -> tuple[TensorCrystal, tuple]:
-    n, m = dims(M)
-    return tensor_crystal(*([fundamental_crystal(n)] * m)), col_word(M)
+    """The row structure of the quarter turn `col_word(M)`."""
+    return row_structure(col_word(M))
+
+
+def row_eps_profile(M: Matrix, i: int) -> list[int]:
+    """The tensor rule's eps profile of the row word at node i, by row."""
+    return row_structure(M)[0].profiles(i, M)[0]
+
+
+def row_phi_profile(M: Matrix, i: int) -> list[int]:
+    return row_structure(M)[0].profiles(i, M)[1]
+
+
+def col_eps_profile(M: Matrix, j: int) -> list[int]:
+    """The row profile of the quarter turn, read back in column order 1..m."""
+    return row_eps_profile(col_word(M), j)[::-1]
+
+
+def col_phi_profile(M: Matrix, j: int) -> list[int]:
+    return row_phi_profile(col_word(M), j)[::-1]
 
 
 # ---------------------------------------------------------------------------
 # closed-formula operators
-
-def row_eps_profile(M: Matrix, i: int) -> list[int]:
-    """Per-row raising counts for columns (i, i+1): the row k term is
-    [row k holds (0,1)] plus the count of (.,1) minus (.,0) pairs above."""
-    prof = []
-    acc = 0
-    for row in M:
-        delta = 1 if (row[i - 1], row[i]) == (0, 1) else 0
-        prof.append(delta + acc)
-        acc += row[i] - row[i - 1]
-    return prof
-
-
-def row_phi_profile(M: Matrix, i: int) -> list[int]:
-    prof = []
-    acc = 0
-    for row in reversed(M):
-        delta = 1 if (row[i - 1], row[i]) == (1, 0) else 0
-        prof.append(delta + acc)
-        acc += row[i - 1] - row[i]
-    prof.reverse()
-    return prof
-
-
-def col_eps_profile(M: Matrix, j: int) -> list[int]:
-    """Per-column raising counts for rows (j, j+1), indexed by column
-    1..m: the column k term is [column k holds (0,1) downward] plus the
-    count difference over the columns right of k."""
-    top, bot = M[j - 1], M[j]
-    prof = []
-    acc = 0
-    for k in range(len(top) - 1, -1, -1):
-        delta = 1 if (top[k], bot[k]) == (0, 1) else 0
-        prof.append(delta + acc)
-        acc += bot[k] - top[k]
-    prof.reverse()
-    return prof
-
-
-def col_phi_profile(M: Matrix, j: int) -> list[int]:
-    top, bot = M[j - 1], M[j]
-    prof = []
-    acc = 0
-    for k in range(len(top)):
-        delta = 1 if (top[k], bot[k]) == (1, 0) else 0
-        prof.append(delta + acc)
-        acc += top[k] - bot[k]
-    return prof
-
 
 def _swap_in_row(M: Matrix, r: int, c: int, new_pair) -> Matrix:
     row = M[r]

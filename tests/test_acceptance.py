@@ -39,12 +39,14 @@ def _elapsed(fn):
 
 
 def _run_suites(*names):
-    """Run every row of the named registry suites; the summed checks."""
+    """Run every row of the named registry suites; the summed checks.  No
+    row may pass vacuously."""
     checked = 0
     for name in names:
         for label, _, thunk in SUITES[name]():
             rep = thunk()
             assert rep.ok, (label, rep.witness)
+            assert rep.checked > 0, label
             checked += rep.checked
     return checked
 

@@ -208,6 +208,20 @@ def test_outer_action_on_a_non_tensor_element_is_a_usage_error(tmp_path,
     assert json.loads(capsys.readouterr().out)["bits"] == [0, 1, 0]
 
 
+def test_act_tensor_text_prints_the_canonical_form(tmp_path, capsys):
+    path = write(tmp_path, "t.json", {"model": "tensor", "factors": [
+        {"model": "fundamental", "rank": 3, "bits": bits}
+        for bits in ([1, 1, 0], [1, 0, 0])]})
+    for mode, text in (("inner", "[110|010]"), ("outer", "[100|110]")):
+        assert run(ACT_TENSOR + ["--mode", mode, "--in", path]) == 0
+        as_json = json.loads(capsys.readouterr().out)
+        assert run(ACT_TENSOR + ["--mode", mode, "--in", path,
+                                 "--format", "text"]) == 0
+        assert capsys.readouterr().out == text + "\n"
+        assert [f["bits"] for f in as_json["factors"]] == [
+            [int(c) for c in bits] for bits in text[1:-1].split("|")]
+
+
 def test_verify_agree_and_goldens(capsys):
     assert run(["verify", "agree", "--n", "3", "--m", "3"]) == 0
     out = capsys.readouterr().out
@@ -237,9 +251,10 @@ def test_verify_all_budget_50_output_is_pinned(capsys):
     # instance list changes the hash
     assert run(["verify", "all", "--budget", "50"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "1406/1406 passed"
+    assert out.splitlines()[-1] == "1206/1206 passed"
+    assert "checked=0)" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "83421d71e372366fa6749ac4168549b506617c4bef9cabc26e109a50170f8a71")
+        "3269bb4a54d2c6eb130dd264ef19fb36c70f446df419de1101ba19c8d0fc472e")
 
 
 def test_verify_all_row_counts_every_check_it_ran(capsys):
@@ -248,6 +263,18 @@ def test_verify_all_row_counts_every_check_it_ran(capsys):
     assert run(["verify", "all", "--budget", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "PASS axioms n=1 m=3 N=1 (checked=6)" in lines
+
+
+def test_verify_target_lists_only_instances_that_check_something(capsys):
+    assert run(["verify", "commute", "--n", "2", "--m", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS commute n=2 m=2 N=1 (checked=12)",
+        "PASS commute n=2 m=2 N=2 (checked=8)",
+        "PASS commute n=2 m=2 N=3 (checked=12)",
+        "3/3 passed"]
+    assert run(["verify", "commute", "--n", "2", "--m", "2", "--N", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: verify commute has nothing to check at n=2 m=2 N=0\n")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -275,6 +302,11 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["verify", "counting", "--n", "2", "--m", "0"]) == 2
     assert run(["verify", "counting", "--n", "2", "--m", "2", "--N", "-1"]) == 2
     assert run(["verify", "all", "--budget", "-1"]) == 2
+    # instances with nothing to check are no rows, so these select none
+    assert run(["verify", "agree", "--n", "1", "--m", "3"]) == 2
+    assert run(["verify", "corollary", "--n", "3", "--m", "1"]) == 2
+    assert run(["verify", "commute", "--n", "2", "--m", "2", "--N", "4"]) == 2
+    assert run(["verify", "dual", "--n", "1", "--m", "1", "--N", "0"]) == 2
     # rank 1 has no nodes, so these would check nothing
     assert run(["verify", "bk", "--rank", "1", "--shape", "2"]) == 2
     for target in ("braid", "cactus", "xi", "axioms"):
@@ -320,7 +352,9 @@ def test_matrix_target_over_budget_is_an_error(capsys, target):
     assert run(argv) == 2
     assert "--force" in capsys.readouterr().err
     assert run(argv + ["--force"]) == 0
-    assert capsys.readouterr().out.endswith("10/10 passed\n")
+    # commute lists N = 1..8: at N = 0 and N = 9 no operator moves
+    runs = 8 if target == "commute" else 10
+    assert capsys.readouterr().out.endswith(f"{runs}/{runs} passed\n")
 
 
 def test_explicit_instance_over_budget_is_an_error(capsys):

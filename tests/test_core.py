@@ -1,10 +1,12 @@
+import re
 from collections import Counter
 
 import pytest
 
 from glcrystals import core, gt, skewhowe
 from glcrystals.base import intervals, schur_bruteforce
-from glcrystals.cactus import verify_cactus_relations, xi_full
+from glcrystals.cactus import (verify_cactus_relations, verify_reduced_braid,
+                              xi_full)
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
                              kashiwara_reflection, schuetzenberger,
@@ -463,6 +465,14 @@ def test_xi_path_variants_agree():
         assert schuetzenberger_by_path(crystal, b, (1, 2), "largest") == via_table
 
 
+def test_path_variant_rejects_an_unknown_order():
+    crystal = tableau_crystal(3)
+    b = ssyt([[1, 2]], 3)
+    for nodes in ((1, 2), ()):
+        with pytest.raises(ValueError, match="unknown path order 'biggest'"):
+            schuetzenberger_by_path(crystal, b, nodes, "biggest")
+
+
 def test_involution_properties_report():
     crystal = tableau_crystal(3)
     rep = verify_involution_properties(crystal, enumerate_b_lambda((2, 1), 3))
@@ -489,6 +499,39 @@ def test_reflection_matches_single_node_xi():
         for i in (1, 2):
             assert kashiwara_reflection(crystal, b, i) == \
                 schuetzenberger(crystal, b, (i,))
+
+
+class _ShortStrings(Crystal):
+    """Broken on purpose: rank 2 with elements their own weights, where f_1
+    acts only at (3, 0) and e_1 only at (0, 3), so both reflections need
+    three steps and get one.  The operators unpack their argument, so a
+    None passed back in raises TypeError."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def weight(self, x):
+        return x
+
+    def e(self, i, x):
+        a, b = x
+        return (a + 1, b - 1) if b == 3 else None
+
+    def f(self, i, x):
+        a, b = x
+        return (a - 1, b + 1) if a == 3 else None
+
+
+def test_reflection_raises_at_the_first_missing_step():
+    crystal = _ShortStrings()
+    for b in ((3, 0), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"reflection fell off the crystal at {b!r}")):
+            kashiwara_reflection(crystal, b, 1)
+    # the braid verifier passes the ValueError on, which verify reports as
+    # a failure with its text as the witness
+    with pytest.raises(ValueError, match="reflection fell off"):
+        verify_reduced_braid(crystal, [(3, 0), (0, 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,29 @@ def test_kernels_match_their_comprehension_oracles():
     assert cases == sum(2 ** (n * m) for n, m in all_small_dims(10))
 
 
+def test_profile_goldens():
+    # by hand from the running sums at node i: a row's eps term is [it
+    # holds (0,1)] plus, over the rows above, the ones in column i+1 minus
+    # those in column i; its phi term [it holds (1,0)] plus, over the rows
+    # below, the ones in column i minus those in column i+1.  Columns
+    # likewise on rows (j, j+1): eps sums right of the column, phi left.
+    M = MATRIX_A  # rows 11100 / 00110 / 11101
+    assert row_eps_profile(M, 3) == [0, -1, -1]
+    assert row_phi_profile(M, 3) == [2, 1, 1]
+    assert col_eps_profile(M, 1) == [0, 1, 1, 1, 0]
+    assert col_phi_profile(M, 1) == [1, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("profile", [row_eps_profile, row_phi_profile,
+                                     col_eps_profile, col_phi_profile])
+def test_profiles_refuse_nodes_outside_the_diagram(profile):
+    M = MATRIX_A  # 3 x 5: the row side has rank 5, the column side rank 3
+    rank = 5 if profile in (row_eps_profile, row_phi_profile) else 3
+    for node in (0, rank):
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            profile(M, node)
+
+
 def moved(M, cells):
     """M with each (row, column, value) of `cells` written in."""
     out = [list(row) for row in M]
