@@ -219,16 +219,6 @@ def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Compo
     return out
 
 
-def _replay(step, x, path, error: str):
-    """Apply step(j, x) along the reversed path; a step that gives None
-    raises ValueError(error)."""
-    for j in reversed(path):
-        x = step(j, x)
-        if x is None:
-            raise ValueError(error)
-    return x
-
-
 def _greedy_path(step, b, nodes):
     """Apply step(j, x) with the first node j in `nodes` order that gives a
     result, until none does; returns (end element, applied node indices)."""
@@ -340,9 +330,12 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
         return b
     scan = nodes if order == "smallest" else nodes[::-1]
     top, path = to_highest_path(crystal, b, scan)
-    return _replay(crystal.e, schuetzenberger(crystal, top, nodes),
-                   [theta_on_nodes(nodes, j) for j in path],
-                   "replay fell off the crystal")
+    x = schuetzenberger(crystal, top, nodes)
+    for j in reversed(path):
+        x = crystal.e(theta_on_nodes(nodes, j), x)
+        if x is None:
+            raise ValueError("replay fell off the crystal")
+    return x
 
 
 def kashiwara_reflection(crystal: Crystal, b, i: int):

@@ -9,8 +9,8 @@ the reading of the matrix's rank-m highest weight form P column by column
 (the rows holding a one in each column of P), and T_Q the reading of its
 rank-n lowest weight form Q row by row, bottom-up (the columns holding a
 one in each row of Q); `re_max`/`cf_max` with `phi_map`/`psi_map` compute
-the same pair along crystal paths and stay as its oracle, and the inverse
-map walks those paths.  The outer action on the row word loops over the
+the same pair along crystal paths and stay as its oracle.  The inverse map
+is reverse insertion.  The outer action on the row word loops over the
 generators of a word, and each generator half-turns a block of rows and
 applies the block's full involution: evacuate T_Q and invert the
 insertion.  The column word is the row word of the quarter turn, so the
@@ -24,12 +24,11 @@ from math import comb
 from .base import (DynkinInterval, Partition, intervals, partition,
                    partitions_in_box, ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
-from .core import (Report, _replay, schuetzenberger, to_highest_path,
-                   to_lowest_path)
+from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, col_word, dims, matrix_col_crystal,
                        matrix_from_col_word, matrix_row_crystal)
-from .tableaux import Rows, evacuate, shape_of, ssyt
+from .tableaux import Rows, evacuate, ssyt
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +113,8 @@ def phi_inv(T: Rows, rank: int, m: int) -> Matrix:
         for c, v in enumerate(row):
             if c >= m:
                 raise ValueError("tableau wider than the matrix")
+            if not 1 <= v <= rank:
+                raise ValueError(f"entry {v} out of range 1..{rank}")
             out[v - 1][c] = 1
     return tuple(tuple(r) for r in out)
 
@@ -126,6 +127,8 @@ def psi_inv(T: Rows, rank: int, n: int) -> Matrix:
         for c, v in enumerate(row):
             if c >= n:
                 raise ValueError("tableau wider than the matrix is tall")
+            if not 1 <= v <= rank:
+                raise ValueError(f"entry {v} out of range 1..{rank}")
             out[n - 1 - c][v - 1] = 1
     return tuple(tuple(r) for r in out)
 
@@ -220,25 +223,15 @@ def duality_iso(M: Matrix) -> DualityPair:
 
 
 def duality_inv(pair: DualityPair) -> Matrix:
-    """Inverse of the packaged map.
-
-    Lower P to the doubly extreme matrix recording the applied C indices,
-    raise Q to the same matrix recording the applied R indices, then undo
-    the recorded R path on P and the recorded C path on Q.  The two
-    reconstructions are compared, and a mismatch raises ValueError.
-    """
-    if shape_of(pair.t_p) != transpose(shape_of(pair.t_q)):
-        raise ValueError("tableau shapes fail to be transpose")
-    pmat, qmat = pair.p_matrix, pair.q_matrix
-    col = matrix_col_crystal(*dims(pmat))
-    row = matrix_row_crystal(*dims(qmat))
-    corner_from_p, c_path = to_lowest_path(col, pmat, col.nodes())
-    corner_from_q, r_path = to_highest_path(row, qmat, row.nodes())
-    if corner_from_p != corner_from_q:
-        raise ValueError("P and Q do not meet at a common extreme matrix")
-    M = _replay(row.f, pmat, r_path, "R path cannot be replayed from P")
-    if M != _replay(col.e, qmat, c_path, "C path cannot be replayed from Q"):
-        raise ValueError("the two reconstructions disagree")
+    """Inverse of the packaged map by reverse dual RSK: `_uninsert` the
+    boxes of T_P from the columns of T_Q, then check that the result maps
+    back to the whole pair.  Tableaux with entries outside 1..n and 1..m,
+    and any pair that is not the duality pair of a matrix, raise
+    ValueError."""
+    n, m = dims(pair.p_matrix)
+    M = _uninsert(_from_columns(ssyt(pair.t_q, m)), ssyt(pair.t_p, n), n, m)
+    if duality_iso(M) != pair:
+        raise ValueError("the pair is not the duality pair of its inverse")
     return M
 
 

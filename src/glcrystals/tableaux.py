@@ -54,8 +54,11 @@ def signature(rows: Rows, i: int):
     Rows weakly increase, so in each row the i's fill one run of columns
     and the i+1's the next run; row r holds only entries >= r+1, so only
     the first i+1 rows can hold either.  A column holding both reads "+-"
-    and cancels at once.
+    and cancels at once.  A node below 1 raises ValueError; the rank, and
+    with it the upper bound, is the crystal's to check.
     """
+    if i < 1:
+        raise ValueError(f"node {i} out of range")
     marks = [0] * len(rows[0]) if rows else []
     for row in rows[:i + 1]:
         lo = bisect_left(row, i)

@@ -19,7 +19,7 @@ from glcrystals.matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi,
                                  row_structure, row_weight, to_json, to_text,
                                  verify_commutation,
                                  verify_dual_implementation)
-from glcrystals.tableaux import tableau_crystal
+from glcrystals.tableaux import apply_e, apply_f, signature, tableau_crystal
 from glcrystals.tensor import tensor_crystal
 
 
@@ -71,7 +71,13 @@ def test_every_model_rejects_out_of_range_nodes():
         probes += 1
         with pytest.raises(ValueError, match=f"node {i} out of range"):
             op(M, i)
-    assert probes == 6 * 4 * 4 + 8
+    # the bare tableau operators know no rank, so they check the lower bound
+    for op in (signature, apply_e, apply_f):
+        for i in (-1, 0):
+            probes += 1
+            with pytest.raises(ValueError, match=f"node {i} out of range"):
+                op(((1,),), i)
+    assert probes == 6 * 4 * 4 + 8 + 3 * 2
 
 
 def test_fundamental_axioms_all_subsets():

@@ -2,6 +2,7 @@ import random
 import sys
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from glcrystals.skewhowe import (DualityPair, cf_max, doubly_extreme_shape,
                                  verify_agreement, verify_corollary,
                                  verify_counting)
 from glcrystals.tableaux import evacuate, shape_of, ssyt
-from test_matrices import all_small_dims
+from test_matrices import all_small_dims, moved
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,15 @@ def test_phi_inverse_exhaustive():
 def test_psi_inverse_golden():
     assert psi_inv(TABLEAU_Q, 5, 3) == MATRIX_A_Q
     assert phi_inv(TABLEAU_P, 3, 5) == MATRIX_A_P
+
+
+def test_readings_inverse_reject_entries_outside_the_rank():
+    # an entry 0 must not wrap to the last row or column, and an entry
+    # above the rank must not surface as an IndexError
+    for inverse in (phi_inv, psi_inv):
+        for v in (0, 4):
+            with pytest.raises(ValueError, match=f"entry {v} out of range"):
+                inverse(((v,),), 3, 2)
 
 
 def test_phi_requires_highest():
@@ -221,6 +231,33 @@ def test_duality_bijective_on_15():
     assert verify_counting(2, 3, 2).ok
 
 
+def _bump(rows, r, c, delta):
+    """rows with the entry at (r, c), 0-based, moved by delta."""
+    row = list(rows[r])
+    row[c] += delta
+    return rows[:r] + (tuple(row),) + rows[r + 1:]
+
+
+def test_duality_inverse_refuses_every_altered_field():
+    pair = duality_iso(MATRIX_A)
+    altered = [  # P and Q each with their (1,1) entry flipped
+        replace(pair, p_matrix=moved(pair.p_matrix, [(0, 0, 0)])),
+        replace(pair, q_matrix=moved(pair.q_matrix, [(0, 0, 1)])),
+        # the last row (3,) of T_P becomes (2,): not semistandard
+        replace(pair, t_p=_bump(pair.t_p, 2, 0, -1)),
+        # the (1,3) entry 3 of T_Q becomes 4: still semistandard
+        replace(pair, t_q=ssyt(_bump(pair.t_q, 0, 2, 1), 5)),
+        replace(pair, lam=(9,)),
+        replace(pair, t_p=_bump(pair.t_p, 0, 0, -1)),  # entry 0
+        replace(pair, t_p=_bump(pair.t_p, 2, 0, 1)),   # entry n + 1
+        replace(pair, t_q=_bump(pair.t_q, 0, 0, -1)),  # entry 0
+        replace(pair, t_q=_bump(pair.t_q, 4, 0, 1)),   # entry m + 1
+    ]
+    for bad in altered:
+        with pytest.raises(ValueError):
+            duality_inv(bad)
+
+
 def test_transpose_shape_relation():
     for n, m in all_small_dims(12):
         for N in range(n * m + 1):
@@ -247,8 +284,8 @@ def kernel_cases():
 def first_kernel_mismatch():
     """First matrix on which duality_iso differs from the crystal route
     (raise with R, lower with C, read with phi and psi), its T_Q is not of
-    the transpose shape of lambda, or the insertion does not invert, or
-    raises; None when every case agrees."""
+    the transpose shape of lambda, the insertion or the packaged map does
+    not invert, or raises; None when every case agrees."""
     for M in kernel_cases():
         n, m = dims(M)
         P, Q = re_max(M), cf_max(M)
@@ -257,7 +294,8 @@ def first_kernel_mismatch():
         try:
             pair = duality_iso(M)
             if pair != expect or shape_of(pair.t_q) != transpose(pair.lam) or \
-                    skewhowe._uninsert(*skewhowe._insert(M), n, m) != M:
+                    skewhowe._uninsert(*skewhowe._insert(M), n, m) != M or \
+                    duality_inv(pair) != M:
                 return M
         except ValueError:
             return M
@@ -445,7 +483,7 @@ def count_calls(monkeypatch, names):
 def test_cold_outer_actions_walk_no_component(monkeypatch):
     # the full generator on a 6 x 6 block: transport would walk a component
     # of thousands of matrices; dual RSK builds no model and applies no
-    # operator, and neither does the forward duality map
+    # operator, and neither does the duality map nor its inverse
     rng = random.Random(6)
     ones = set(rng.sample(range(36), 18))
     M = tuple(tuple(int(6 * r + c in ones) for c in range(6)) for r in range(6))
@@ -464,12 +502,11 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
     calls = count_calls(monkeypatch, [
         (matrices, "Re"), (matrices, "Rf"), (matrices, "Ce"),
         (matrices, "Cf"), (core, "to_highest_path"),
-        (core, "to_lowest_path"), (core, "_replay"),
-        (core, "schuetzenberger")])
+        (core, "to_lowest_path"), (core, "schuetzenberger")])
     full = word(6, (1, 6))
     rows, cols = outer_on_rows(M, full), outer_on_cols(M, full)
     for B in (M, rows, cols):
-        duality_iso(B)
+        assert duality_inv(duality_iso(B)) == B
     assert models == [] and calls == Counter()
     assert outer_on_rows(rows, full) == M and outer_on_cols(cols, full) == M
     # the inner action still transports, so the counters see it
