@@ -222,7 +222,8 @@ def from_json(obj) -> Pattern:
 
 def pretty(x: Pattern) -> str:
     """Centered triangular display, top row first."""
-    n = rank_of(x)
+    if not x:
+        return "(empty)"
     width = max(len(str(v)) for row in x for v in row)
     lines = []
     for k, row in enumerate(x):

@@ -42,6 +42,9 @@ def bit_matrix(rows, n: int | None = None, m: int | None = None) -> Matrix:
 
 
 def dims(M: Matrix) -> tuple[int, int]:
+    if not M or not M[0]:
+        raise ValueError("empty matrix: a matrix needs at least one row "
+                         "and one column")
     return len(M), len(M[0])
 
 

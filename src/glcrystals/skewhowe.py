@@ -10,25 +10,28 @@ the reading of the matrix's rank-m highest weight form P column by column
 rank-n lowest weight form Q row by row, bottom-up (the columns holding a
 one in each row of Q); `re_max`/`cf_max` with `phi_map`/`psi_map` compute
 the same pair along crystal paths and stay as its oracle.  The inverse map
-is reverse insertion.  The outer action on the row word loops over the
-generators of a word, and each generator half-turns a block of rows and
-applies the block's full involution: evacuate T_Q and invert the
-insertion.  The column word is the row word of the quarter turn, so the
-outer action on it is the row action on the quarter turn.
+is reverse insertion.  The column word is the row word of the quarter
+turn, so each column-side reading is the row-side reading of the turn:
+`cf_max`, `psi_map` and `psi_inv` are `re_max`, `phi_map` and `phi_inv`
+on `matrix_from_col_word(M)`, turned back by `col_word`.  The outer action
+on the row word loops over the generators of a word, and each generator
+half-turns a block of rows and applies the block's full involution: turn
+the block a quarter, evacuate T_P and invert the insertion.  The outer
+action on the column word is the row action on the quarter turn.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .base import (DynkinInterval, Partition, intervals, partition,
-                   partitions_in_box, ssyt_fillings, transpose)
+from .base import (DynkinInterval, Partition, intervals, partitions_in_box,
+                   ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
-from .core import Report, schuetzenberger, to_highest_path, to_lowest_path
+from .core import Report, schuetzenberger, to_highest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, col_word, dims, matrix_col_crystal,
                        matrix_from_col_word, matrix_row_crystal)
-from .tableaux import Rows, evacuate, ssyt
+from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
 # ---------------------------------------------------------------------------
@@ -42,37 +45,20 @@ def re_max(M: Matrix) -> Matrix:
 
 
 def cf_max(M: Matrix) -> Matrix:
-    """Lower with the C operators, smallest index first, to the unique
-    lowest-weight matrix of the component."""
-    col = matrix_col_crystal(*dims(M))
-    return to_lowest_path(col, M, col.nodes())[0]
+    """Lower with the C operators to the unique lowest-weight matrix of the
+    component: the R-highest matrix of the quarter turn, turned back."""
+    return col_word(re_max(matrix_from_col_word(M)))
 
 
 def doubly_extreme_shape(L: Matrix) -> Partition:
-    """Shape of a matrix that is R-highest and C-extremal.
-
-    C-highest matrices carry their ones as a partition justified into the
-    upper-left corner (shape read off top-down row sums); C-lowest matrices
-    as one justified into the lower-left corner (read bottom-up).  Anything
-    else violates the precondition and raises.
-    """
-    n, m = dims(L)
-    if any(Reps(L, i) != 0 for i in range(1, m)):
-        raise ValueError("matrix is not R-highest")
-    if all(Ceps(L, j) == 0 for j in range(1, n)):
-        ordered = list(L)
-    elif all(Cphi(L, j) == 0 for j in range(1, n)):
-        ordered = list(reversed(L))
-    else:
+    """Shape of a matrix that is R-highest and C-extremal: the shape of its
+    `phi_map` tableau.  A matrix that is neither C-highest nor C-lowest, or
+    not R-highest, raises."""
+    n = len(L)
+    if not (all(Ceps(L, j) == 0 for j in range(1, n)) or
+            all(Cphi(L, j) == 0 for j in range(1, n))):
         raise ValueError("matrix is neither C-highest nor C-lowest")
-    sums = [sum(row) for row in ordered]
-    for width, row in zip(sums, ordered):
-        if row != tuple([1] * width + [0] * (m - width)):
-            raise ValueError("ones are not left-justified")
-    try:
-        return partition(sums)
-    except ValueError:
-        raise ValueError("ones do not fill a corner-justified shape") from None
+    return shape_of(phi_map(L))
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +82,10 @@ def phi_map(P: Matrix) -> Rows:
 
 
 def psi_map(Q: Matrix) -> Rows:
-    """C-lowest matrix to a rank-m tableau: column k of the tableau holds
-    the columns with a one in row n-k of Q."""
-    n, m = dims(Q)
-    if any(Cphi(Q, j) != 0 for j in range(1, n)):
-        raise ValueError("psi needs a C-lowest matrix")
-    cols = [[c + 1 for c in range(m) if row[c]] for row in reversed(Q)]
-    return ssyt(_from_columns(cols), m)
+    """C-lowest matrix to a rank-m tableau: `phi_map` of the quarter turn,
+    whose R-highest condition is Q's C-lowest one.  Column k of the tableau
+    holds the columns with a one in row n-k of Q."""
+    return phi_map(matrix_from_col_word(Q))
 
 
 def phi_inv(T: Rows, rank: int, m: int) -> Matrix:
@@ -120,17 +103,9 @@ def phi_inv(T: Rows, rank: int, m: int) -> Matrix:
 
 
 def psi_inv(T: Rows, rank: int, n: int) -> Matrix:
-    """Rebuild the C-lowest matrix: an entry l in tableau column j puts a
-    one at row n+1-j, column l."""
-    out = [[0] * rank for _ in range(n)]
-    for row in T:
-        for c, v in enumerate(row):
-            if c >= n:
-                raise ValueError("tableau wider than the matrix is tall")
-            if not 1 <= v <= rank:
-                raise ValueError(f"entry {v} out of range 1..{rank}")
-            out[n - 1 - c][v - 1] = 1
-    return tuple(tuple(r) for r in out)
+    """Rebuild the C-lowest matrix: the quarter turn of `phi_inv`, so an
+    entry l in tableau column j puts a one at row n+1-j, column l."""
+    return col_word(phi_inv(T, rank, n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +222,12 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # turn `col_word(M)`, so the column side is the row side of the quarter
 # turn and `_turn_rows` is the one block step of both.
 #
-# The full involution of a block's row structure is computed through its
-# duality pair: the R operators act on T_Q and fix T_P, so the involution
-# evacuates T_Q and keeps T_P.  The pair comes from dual RSK insertion and
-# goes back by its inverse, so a cold block costs one insertion, one
+# The full involution of a block's row structure is computed on the
+# block's quarter turn X = `matrix_from_col_word(B)`, whose column
+# structure it is, through X's duality pair: the C operators act on T_P and
+# fix T_Q, so the involution evacuates T_P, which insertion returns in row
+# form, and keeps T_Q.  The pair comes from dual RSK insertion and goes
+# back by its inverse, so a cold block costs two turns, one insertion, one
 # evacuation and one reverse insertion, and walks no crystal path or
 # component.  The inner actions keep edge transport, which keeps the
 # agreement of the two actions a check of two independent routes, and
@@ -272,12 +249,13 @@ def _row_xi_by_transport(B: Matrix) -> Matrix:
 
 
 def _row_xi_by_duality(B: Matrix) -> Matrix:
-    """Full involution of the row structure: evacuate the rank-m tableau
-    T_Q of B's duality pair, keep T_P, and invert the insertion."""
-    a, m = dims(B)
-    ins, rec = _insert(B)
-    evacuated = evacuate(_from_columns(ins), m)
-    return _uninsert(_from_columns(evacuated), rec, a, m)
+    """Full involution of the row structure of B: the column structure of
+    the quarter turn X, computed by evacuating the rank-n tableau T_P of X's
+    duality pair, keeping T_Q, and inverting the insertion."""
+    X = matrix_from_col_word(B)
+    n, m = dims(X)
+    ins, rec = _insert(X)
+    return col_word(_uninsert(ins, evacuate(rec, n), n, m))
 
 
 def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
@@ -285,8 +263,8 @@ def outer_on_rows(M: Matrix, w: CactusWord) -> Matrix:
 
     Each generator s[p,q] turns rows p..q by half a turn and applies the
     full involution of the row structure of that sub-matrix, computed as
-    the evacuation of its T_Q between dual RSK insertion and its
-    inverse."""
+    the evacuation of T_P of its quarter turn between dual RSK insertion
+    and its inverse."""
     n = len(M)
     if w.rank != n:
         raise ValueError(f"word rank {w.rank} != number of tensor factors {n}")

@@ -104,6 +104,36 @@ def test_skew_howe_json(tmp_path, capsys):
     assert payload["T_Q"]["rows"] == [[1, 1, 3], [2, 2], [3, 3], [4], [5]]
 
 
+SIX_BY_FIVE = {"rows": [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 0],
+                        [0, 0, 1, 1, 1], [1, 0, 0, 1, 0], [0, 1, 1, 0, 1]]}
+
+
+def test_skew_howe_and_matrix_actions_output_is_pinned(tmp_path, capsys):
+    # the whole stdout of each command, P and Q included, in one hash (every
+    # exit code is 0); a changed reading or block step changes it
+    records = []
+    for k, data in enumerate((M_JSON, {"rows": [[0, 0], [0, 0]]},
+                              SIX_BY_FIVE)):
+        path = write(tmp_path, f"M{k}.json", data)
+        n, m = len(data["rows"]), len(data["rows"][0])
+        argvs = [["skew-howe", "--in", path, "--format", fmt]
+                 for fmt in ("json", "text")]
+        for mode in ("inner", "outer"):
+            for structure, r in (("row", m if mode == "inner" else n),
+                                 ("column", n if mode == "inner" else m)):
+                argvs.append(["act", "--model", "matrix", "--mode", mode,
+                              "--structure", structure, "--in", path,
+                              "--word", f"s[1,{r}] s[1,2] s[{r - 1},{r}]",
+                              "--format", "text" if k else "json"])
+        for argv in argvs:
+            assert run(argv) == 0, argv
+            label = " ".join(a for a in argv if a != path)
+            records.append(f"{k} {label}\n{capsys.readouterr().out}")
+    assert len(records) == 18
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == (
+        "e69a2fe50c29e369dbd577f37f3e318b6ff27d417aa010af499bf41ad72d5233")
+
+
 def _raise_disagreement(pair):
     raise ValueError("the two reconstructions disagree")
 
@@ -371,7 +401,8 @@ def test_explicit_instance_over_budget_is_an_error(capsys):
     assert "PASS bk rank=4 shape=3,2,1 (checked=384)" in out
 
 
-def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(capsys):
+def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(tmp_path,
+                                                                capsys):
     for command in ("graph", "character"):
         outputs = []
         for model in ("tableau", "gt"):
@@ -381,6 +412,13 @@ def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(capsys):
         assert outputs[0] == outputs[1]
     assert run(["verify", "xi", "--model", "gt", "--rank", "0"]) == 2
     assert "needs rank at least 2, got 0" in capsys.readouterr().err
+    path = write(tmp_path, "e.json", {"rows": []})
+    for argv in (["gt", "--to-tableau", "--in", path, "--format", "text"],
+                 ["gt", "--in", path, "--format", "text"],
+                 ["act", "--model", "gt", "--word", "", "--in", path,
+                  "--format", "text"]):
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == "(empty)\n", argv
 
 
 def test_negative_rank_is_a_usage_error_naming_the_rank(capsys):

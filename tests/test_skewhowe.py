@@ -8,7 +8,7 @@ import pytest
 
 from glcrystals import core, matrices, skewhowe
 from glcrystals.base import transpose
-from glcrystals.cactus import outer_act, word
+from glcrystals.cactus import CactusWord, outer_act, word
 from glcrystals.core import is_morphism, schuetzenberger
 from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_Q,
                                 TABLEAU_P, TABLEAU_Q)
@@ -60,6 +60,34 @@ def test_extremal_maps_are_path_independent():
             for M in bit_matrices(n, m, N):
                 assert re_max(M) == component(row, M, row.nodes()).highest
                 assert cf_max(M) == component(col, M, col.nodes()).lowest
+
+
+def _corner_oracle(L):
+    """The duality shape of L when L is that shape's Young diagram
+    justified into the upper-left or the lower-left corner."""
+    n, m = dims(L)
+    lam = duality_iso(L).lam
+    rows = [(1,) * part + (0,) * (m - part) for part in lam]
+    upper = tuple(rows + [(0,) * m] * (n - len(lam)))
+    if L not in (upper, upper[::-1]):
+        raise ValueError("not a corner-justified Young diagram")
+    return lam
+
+
+def test_doubly_extreme_shape_matches_the_corner_oracle():
+    extreme = 0
+    for n, m in all_small_dims(10):
+        for N in range(n * m + 1):
+            for L in bit_matrices(n, m, N):
+                try:
+                    expect = _corner_oracle(L)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        doubly_extreme_shape(L)
+                    continue
+                extreme += 1
+                assert doubly_extreme_shape(L) == expect, L
+    assert extreme == 378
 
 
 def test_doubly_extreme_shapes():
@@ -167,9 +195,11 @@ def test_column_readings_match_the_chain_build():
                 if all(Reps(M, i) == 0 for i in range(1, m)):
                     highest += 1
                     assert phi_map(M) == chain_phi(M), M
+                    assert phi_inv(phi_map(M), n, m) == M, M
                 if all(Cphi(M, j) == 0 for j in range(1, n)):
                     lowest += 1
                     assert psi_map(M) == chain_psi(M), M
+                    assert psi_inv(psi_map(M), m, n) == M, M
     assert highest > 1000 and lowest > 1000
 
 
@@ -216,6 +246,16 @@ def test_duality_empty():
     pair = duality_iso(M)
     assert pair.lam == () and pair.t_p == () and pair.t_q == ()
     assert duality_inv(pair) == M
+
+
+def test_a_matrix_with_no_rows_or_columns_is_refused_by_name():
+    calls = (lambda: duality_iso(()),
+             lambda: duality_iso(((), ())),
+             lambda: duality_inv(DualityPair((), (), (), (), ())),
+             lambda: inner_on_cols((), CactusWord(0, ())))
+    for call in calls:
+        with pytest.raises(ValueError, match="^empty matrix"):
+            call()
 
 
 def test_duality_bijective_on_15():

@@ -51,6 +51,34 @@ def test_library_imports_are_used():
     assert found == []
 
 
+def test_private_helpers_have_a_caller():
+    # a top-level _name function, class or constant that nothing in the
+    # library names is a stranded helper
+    defined, used = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in used) == []
+
+
 def test_traced_names_resolve_on_the_package():
     # perfbench/spans.py patches these names at run time; a kernel refactor
     # that drops one would otherwise fail only inside the benchmark's
