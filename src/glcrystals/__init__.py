@@ -15,7 +15,7 @@ from .cactus import (CactusWord, inner_act, outer_act, parse_word,
 from .core import (Component, Crystal, Report, character, check_crystal_axioms,
                    component, components, export_graph, is_morphism,
                    kashiwara_reflection, schuetzenberger,
-                   schuetzenberger_by_path, to_highest_path, to_lowest_path,
+                   schuetzenberger_by_path, to_highest_path,
                    verify_involution_properties, verify_local_involution)
 from .gt import (PatternCrystal, beta, bk_move, bk_q, check_cgp_homomorphism,
                  gt_pattern, gt_to_tableau, pattern_crystal, patterns_with_top,

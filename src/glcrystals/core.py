@@ -219,9 +219,14 @@ def components(crystal: Crystal, elements, nodes: tuple[int, ...]) -> list[Compo
     return out
 
 
-def _greedy_path(step, b, nodes):
-    """Apply step(j, x) with the first node j in `nodes` order that gives a
-    result, until none does; returns (end element, applied node indices)."""
+def to_highest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
+    """Greedy raising, scanning `nodes` in the given order; returns
+    (highest, path).
+
+    The recorded path lists the applied node indices in application order,
+    so lowering along the reversed path from the highest element returns b.
+    """
+    step = crystal.e
     path = []
     x = b
     while True:
@@ -235,31 +240,18 @@ def _greedy_path(step, b, nodes):
             return x, tuple(path)
 
 
-def to_highest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
-    """Greedy raising, scanning `nodes` in the given order; returns
-    (highest, path).
-
-    The recorded path lists the applied node indices in application order,
-    so lowering along the reversed path from the highest element returns b.
-    """
-    return _greedy_path(crystal.e, b, nodes)
-
-
-def to_lowest_path(crystal: Crystal, b, nodes: tuple[int, ...]):
-    """Greedy lowering twin of `to_highest_path`: returns (lowest, path),
-    and raising along the reversed path from the lowest element returns b."""
-    return _greedy_path(crystal.f, b, nodes)
-
-
 def schuetzenberger(crystal: Crystal, b, nodes) -> object:
     """Schutzenberger involution of the restriction to `nodes`, applied to b.
 
     Computed per component by transport: the highest element maps to the
-    lowest, and the image propagates along every edge with the node index
-    twisted by the interval involution.  One walk reads the component's
-    edges from the model's edge records, which the walks of every node set
-    share, and the image of every element of the component is written into
-    the interval's image slot of its record, which is what makes exhaustive
+    lowest, and the image propagates along every lowering edge from the
+    highest element: the image of f_j(x) is e_t of the image of x, where
+    t = theta_on_nodes(nodes, j).  Greedy raising from any element ends at
+    the one highest, so a component those edges do not cover is a broken
+    model, and raises.  One walk reads the component's edges from
+    the model's edge records, which the walks of every node set share, and
+    the image of every element of the component is written into the
+    interval's image slot of its record, which is what makes exhaustive
     verification sweeps affordable: a later call on any of them reads one
     slot.  It builds no `Component`.  Path independence against the
     directed single-path variant is a tested property, not an assumption.
@@ -283,7 +275,7 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
         raise ValueError(f"nodes {nodes} do not form one interval")
     # an interval outside 1..rank-1 has no slot, and the walk refuses it
     records, top, low = _walk(crystal, b, nodes)
-    twisted = [(2 * j - 1, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
+    twisted = [(2 * j, 2 * theta_on_nodes(nodes, j) - 1) for j in nodes]
     filled = []  # the records whose image slot this call wrote
     if top[slot] is _UNFILLED:  # filled only where e and f are not inverse
         top[slot] = low
@@ -296,13 +288,9 @@ def schuetzenberger(crystal: Crystal, b, nodes) -> object:
                     f"involution transport broke inside the component of "
                     f"{crystal.canon(b)} on nodes {nodes}")
             for s, t in twisted:
-                y = x[s + 1]  # f_j(x), whose image is e_t(img)
+                y = x[s]  # f_j(x), whose image is e_t(img)
                 if y is not None and y[slot] is _UNFILLED:
                     y[slot] = img[t]
-                    filled.append(y)
-                y = x[s]  # e_j(x), whose image is f_t(img)
-                if y is not None and y[slot] is _UNFILLED:
-                    y[slot] = img[t + 1]
                     filled.append(y)
         if len(filled) != len(records):
             raise ValueError("involution transport missed part of a component")
@@ -339,7 +327,10 @@ def schuetzenberger_by_path(crystal: Crystal, b, nodes, order: str = "smallest")
 
 
 def kashiwara_reflection(crystal: Crystal, b, i: int):
-    """Single-node reflection: apply f_i or e_i |<wt, coroot_i>| times."""
+    """Single-node reflection: apply f_i or e_i |<wt, coroot_i>| times.
+    Raises ValueError on a node outside 1..rank-1, as the models do."""
+    if not 0 < i < crystal.rank:
+        raise ValueError(f"node {i} out of range for rank {crystal.rank}")
     d = pairing(crystal.weight(b), i)
     step = crystal.f if d >= 0 else crystal.e
     x = b

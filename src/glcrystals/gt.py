@@ -128,11 +128,12 @@ def patterns_with_top(lam, n: int):
         if len(upper) == 1:
             yield (upper,)
             return
+        # interlacing alone keeps each row weakly decreasing:
+        # lower[i] >= upper[i + 1] >= lower[i + 1]
         ranges = [range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)]
         for lower in product(*ranges):
-            if all(a >= b for a, b in zip(lower, lower[1:])):
-                for rest in rec(lower):
-                    yield (upper,) + rest
+            for rest in rec(lower):
+                yield (upper,) + rest
 
     if n == 0:
         yield ()

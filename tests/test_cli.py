@@ -448,6 +448,30 @@ def test_tensor_components(capsys):
     assert sorted(c["size"] for c in payload["components"]) == [1, 3]
 
 
+def test_character_tensor_and_tableau_factor_actions_output_is_pinned(
+        tmp_path, capsys):
+    # the text forms of `character` and `tensor`, and both cactus actions
+    # on a tensor of tableaux, which read and print the tableau JSON form
+    path = write(tmp_path, "t.json", {"model": "tensor", "factors": [
+        {"model": "tableau", "rank": 3, "rows": rows}
+        for rows in ([[1, 2], [2]], [[1]])]})
+    records = []
+    for argv in (["character", "--model", "tableau", "--rank", "3",
+                  "--shape", "2,1", "--format", "text"],
+                 ["tensor", "--rank", "2", "--shapes", "1;1",
+                  "--format", "text"],
+                 ["act", "--model", "tensor", "--mode", "inner",
+                  "--word", "s[1,3]", "--in", path],
+                 ["act", "--model", "tensor", "--mode", "outer",
+                  "--word", "s[1,2]", "--in", path, "--format", "text"]):
+        code = run(argv)
+        label = " ".join(a for a in argv if a != path)
+        records.append(f"{label}\n{code}\n{capsys.readouterr().out}")
+    assert records[-1].endswith("\n0\n[2|1,1/2]\n")
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == (
+        "04601e495006e39af96670047a7734380f8231a2f295616528da89b44a69c73d")
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "graph.dot"
     assert run(["graph", "--model", "tableau", "--rank", "2", "--shape", "1",

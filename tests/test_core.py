@@ -11,7 +11,7 @@ from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
                              kashiwara_reflection, schuetzenberger,
                              schuetzenberger_by_path, to_highest_path,
-                             to_lowest_path, verify_involution_properties)
+                             verify_involution_properties)
 from glcrystals.matrices import (MatrixColCrystal, MatrixRowCrystal, Re,
                                  bit_matrices, fundamental_crystal,
                                  matrix_col_crystal, matrix_row_crystal)
@@ -183,6 +183,36 @@ def test_partial_transport_resets_the_slots_it_wrote():
             for x in range(4)] == [False, False, True, True]
 
 
+class _RaisedOnlyElement(Crystal):
+    """Broken on purpose: e and f are not inverse.  The walk from any
+    element finds one highest (0) and one lowest (2), but 3 is entered
+    only by e_1(1) = 3, so no lowering edge from 0 reaches it."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def weight(self, x):
+        return (2 - x, x)
+
+    def e(self, i, x):
+        return {1: 3, 2: 1, 3: 0}.get(x)
+
+    def f(self, i, x):
+        return {0: 1, 1: 2, 3: 1}.get(x)
+
+
+def test_element_reached_only_by_raising_fails_the_transport():
+    # propagating along e edges too would fill 3 and return the map
+    # [2, 1, 3, 2], which is not an involution
+    crystal = _RaisedOnlyElement()
+    slot = crystal._xi_slot[(1,)]
+    for x in range(4):
+        with pytest.raises(ValueError, match="missed part of a component"):
+            schuetzenberger(crystal, x, (1,))
+        assert all(rec[slot] is core._UNFILLED
+                   for rec in crystal._edges.values())
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -202,12 +232,10 @@ def test_to_highest_path_one_step():
 def test_path_reconstruction_contract():
     crystal = tableau_crystal(3)
     for b in enumerate_b_lambda((2, 1, 0), 3):
-        for to_end, back in ((to_highest_path, crystal.f),
-                             (to_lowest_path, crystal.e)):
-            x, path = to_end(crystal, b, (1, 2))
-            for i in reversed(path):
-                x = back(i, x)
-            assert x == b
+        x, path = to_highest_path(crystal, b, (1, 2))
+        for i in reversed(path):
+            x = crystal.f(i, x)
+        assert x == b
 
 
 class _CountingTableaux(TableauCrystal):
@@ -479,6 +507,28 @@ def test_involution_properties_report():
     assert rep.ok, rep.witness
 
 
+# the string of shape (2,) in rank 2, highest first, and the one tableau of
+# shape (1, 1), which shares the weight of its middle
+_A, _M, _C, _S = ((1, 1),), ((1, 2),), ((2, 2),), ((1,), (2,))
+_TAB2 = tableau_crystal(2)
+
+
+@pytest.mark.parametrize("table, b, witness", [
+    ({_A: _C, _C: _M, _M: _A}, _A, "not an involution on (1,)"),
+    ({_A: _A}, _A, "weight not block-reversed on (1,)"),
+    # swapping the images of the two tableaux of weight (1, 1) keeps an
+    # involution that reverses weights, but breaks the twist on both sides
+    ({_A: _C, _C: _A, _M: _S, _S: _M}, _A, "e_1 twist fails on (1,)"),
+    ({_A: _C, _C: _A, _M: _S, _S: _M}, _C, "f_1 twist fails on (1,)"),
+])
+def test_involution_verifier_reports_each_seeded_map(monkeypatch, table, b,
+                                                     witness):
+    monkeypatch.setattr(core, "schuetzenberger",
+                        lambda crystal, x, nodes: table[x])
+    rep = verify_involution_properties(tableau_crystal(2), [b])
+    assert rep.status == "fail" and rep.witness.startswith(witness)
+
+
 # ---------------------------------------------------------------------------
 # reflections
 
@@ -569,6 +619,30 @@ def test_axioms_catch_corruption():
     assert not rep.ok and rep.witness
 
 
+class _Seeded(Crystal):
+    """Rank-2 tableaux with the methods named in `faults` replaced by
+    seeded faults."""
+
+    def __init__(self, **faults):
+        super().__init__(2)
+        for name in ("weight", "e", "f", "eps", "phi", "canon"):
+            setattr(self, name, faults.get(name, getattr(_TAB2, name)))
+
+
+@pytest.mark.parametrize("faults, b, witness", [
+    ({"weight": lambda x: (1, 1)}, _A, "f_1 weight step wrong"),
+    ({"e": lambda i, x: _A if x == _C else _TAB2.e(i, x)}, _C,
+     "f_1 e_1 != id"),
+    ({"weight": lambda x: (1, 1)}, _C, "e_1 weight step wrong"),
+    ({"eps": lambda i, x: 0}, _M, "eps/phi formula disagrees"),
+    ({"weight": {_A: (3, 0), _M: (2, 1), _C: (1, 2)}.get}, _A,
+     "phi - eps != <wt, coroot>"),
+])
+def test_axioms_report_each_seeded_fault(faults, b, witness):
+    rep = check_crystal_axioms(_Seeded(**faults), [b])
+    assert rep.status == "fail" and rep.witness.startswith(witness)
+
+
 def test_axioms_matrix_structures_84():
     elements = list(bit_matrices(3, 3, 3))
     assert len(elements) == 84
@@ -624,6 +698,22 @@ def test_weight_breaking_map_fails():
     target = elements[0]
     rep = is_morphism(lambda b: target, crystal, crystal, elements)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("table, b, witness", [
+    ({_A: _C}, _A, "weight not preserved"),
+    ({_M: _S}, _M, "eps/phi not preserved"),
+    ({_C: _C, _M: _S}, _C, "e_1 not intertwined"),
+])
+def test_morphism_verifier_reports_each_seeded_map(table, b, witness):
+    crystal = tableau_crystal(2)
+    rep = is_morphism(table.get, crystal, crystal, [b])
+    assert rep.status == "fail" and rep.witness.startswith(witness)
+
+
+def test_morphism_endpoints_must_share_a_rank():
+    with pytest.raises(ValueError, match="must share a rank"):
+        is_morphism(lambda b: b, tableau_crystal(2), tableau_crystal(3), [])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from glcrystals import matrices
-from glcrystals.core import check_crystal_axioms, is_morphism
+from glcrystals.core import (check_crystal_axioms, is_morphism,
+                             kashiwara_reflection)
 from glcrystals.goldens import MATRIX_A, MATRIX_A_P, MATRIX_A_P_CE2
 from glcrystals.gt import pattern_crystal, tableau_to_gt
 from glcrystals.matrices import (Ce, Ceps, Cf, Cphi, Re, Reps, Rf, Rphi,
@@ -62,7 +63,8 @@ def test_every_model_rejects_out_of_range_nodes():
     probes = 0
     for crystal, b in cases:
         for i in (-1, 0, crystal.rank, crystal.rank + 1):
-            for op in (crystal.e, crystal.f, crystal.eps, crystal.phi):
+            for op in (crystal.e, crystal.f, crystal.eps, crystal.phi,
+                       lambda i, b: kashiwara_reflection(crystal, b, i)):
                 probes += 1
                 with pytest.raises(ValueError, match="out of range"):
                     op(i, b)
@@ -77,7 +79,7 @@ def test_every_model_rejects_out_of_range_nodes():
             probes += 1
             with pytest.raises(ValueError, match=f"node {i} out of range"):
                 op(((1,),), i)
-    assert probes == 6 * 4 * 4 + 8 + 3 * 2
+    assert probes == 6 * 4 * 5 + 8 + 3 * 2
 
 
 def test_fundamental_axioms_all_subsets():

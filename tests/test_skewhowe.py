@@ -542,7 +542,7 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
     calls = count_calls(monkeypatch, [
         (matrices, "Re"), (matrices, "Rf"), (matrices, "Ce"),
         (matrices, "Cf"), (core, "to_highest_path"),
-        (core, "to_lowest_path"), (core, "schuetzenberger")])
+        (core, "schuetzenberger")])
     full = word(6, (1, 6))
     rows, cols = outer_on_rows(M, full), outer_on_cols(M, full)
     for B in (M, rows, cols):
