@@ -8,10 +8,12 @@ generic tensor rule on the row word (`row_structure`; `col_structure` is
 the row structure of the quarter turn `col_word`), and once through closed
 running-sum formulas that read each profile maximum in one scan.  The two
 are kept permanently as mutual oracles; verify_dual_implementation
-compares them exhaustively.  The per-position `*_profile` lists the
-kernels are checked against are the tensor rule's, `TensorCrystal.profiles`
-of the row word and, for the columns, of the quarter turn read back in
-column order.
+compares them exhaustively.  A C operator at node j reads only rows j and
+j+1: `_col_pair` scans each such pair once and keeps what the four C
+kernels read, in a table of at most 4^m keys that is never invalidated.
+The per-position `*_profile` lists the kernels are checked against are the
+tensor rule's, `TensorCrystal.profiles` of the row word and, for the
+columns, of the quarter turn read back in column order.
 """
 
 import json
@@ -220,46 +222,60 @@ def Rf(M: Matrix, i: int):
     return _swap_in_row(M, at, i - 1, (0, 1))
 
 
-def Ce(M: Matrix, j: int):
-    """Raising in the rank-n structure: act in the column closest to m
-    achieving the positive maximum of `col_eps_profile`, moving its one
-    from row j+1 to j.  One right-to-left scan keeps the running sum and
-    the argmax."""
-    if not 0 < j < len(M):
-        raise _node_error(j, len(M))
-    top, bot = M[j - 1], M[j]
-    best, at, acc = 0, -1, 0
+@cache
+def _col_pair(top: tuple, bot: tuple) -> tuple:
+    """What the C kernels read off rows (top, bot): eps, phi, the columns
+    `Ce` and `Cf` act at (-1 for none), and the pair after each move (None
+    where that column holds no movable one).  A right-to-left scan keeps
+    the running sum of `col_eps_profile` and its argmax closest to m, a
+    left-to-right one that of `col_phi_profile`, closest to 1."""
+    eps, e_at, acc = 0, -1, 0
     for k in range(len(top) - 1, -1, -1):
         a, b = top[k], bot[k]
         value = acc + (b > a)
-        if value > best:
-            best, at = value, k
+        if value > eps:
+            eps, e_at = value, k
         acc += b - a
+    phi, f_at, acc = 0, -1, 0
+    for k in range(len(top)):
+        a, b = top[k], bot[k]
+        value = acc + (a > b)
+        if value > phi:
+            phi, f_at = value, k
+        acc += a - b
+    up = down = None
+    if e_at >= 0 and (top[e_at], bot[e_at]) == (0, 1):
+        up = _swap_in_col((top, bot), 0, e_at, (1, 0))
+    if f_at >= 0 and (top[f_at], bot[f_at]) == (1, 0):
+        down = _swap_in_col((top, bot), 0, f_at, (0, 1))
+    return eps, phi, e_at, f_at, up, down
+
+
+def Ce(M: Matrix, j: int):
+    """Raising in the rank-n structure: act in the column closest to m
+    achieving the positive maximum of `col_eps_profile`, moving its one
+    from row j+1 to j.  Rows j, j+1 after the move come from `_col_pair`."""
+    if not 0 < j < len(M):
+        raise _node_error(j, len(M))
+    _, _, at, _, pair, _ = _col_pair(M[j - 1], M[j])
     if at < 0:
         return None
-    if (top[at], bot[at]) != (0, 1):
+    if pair is None:
         raise _broken("Ce", j, M, f"column {at + 1}")
-    return _swap_in_col(M, j - 1, at, (1, 0))
+    return M[:j - 1] + pair + M[j + 1:]
 
 
 def Cf(M: Matrix, j: int):
     """Lowering in the rank-n structure: column closest to 1 at the maximum
-    of `col_phi_profile`, found by one left-to-right scan."""
+    of `col_phi_profile`, moved as `_col_pair` stores it."""
     if not 0 < j < len(M):
         raise _node_error(j, len(M))
-    top, bot = M[j - 1], M[j]
-    best, at, acc = 0, -1, 0
-    for k in range(len(top)):
-        a, b = top[k], bot[k]
-        value = acc + (a > b)
-        if value > best:
-            best, at = value, k
-        acc += a - b
+    _, _, _, at, _, pair = _col_pair(M[j - 1], M[j])
     if at < 0:
         return None
-    if (top[at], bot[at]) != (1, 0):
+    if pair is None:
         raise _broken("Cf", j, M, f"column {at + 1}")
-    return _swap_in_col(M, j - 1, at, (0, 1))
+    return M[:j - 1] + pair + M[j + 1:]
 
 
 def Reps(M: Matrix, i: int) -> int:
@@ -292,32 +308,17 @@ def Rphi(M: Matrix, i: int) -> int:
 
 
 def Ceps(M: Matrix, j: int) -> int:
-    """The maximum of `col_eps_profile` floored at zero, as `Ce` scans."""
+    """The maximum of `col_eps_profile` floored at zero (`_col_pair`)."""
     if not 0 < j < len(M):
         raise _node_error(j, len(M))
-    top, bot = M[j - 1], M[j]
-    best = acc = 0
-    for k in range(len(top) - 1, -1, -1):
-        a, b = top[k], bot[k]
-        value = acc + (b > a)
-        if value > best:
-            best = value
-        acc += b - a
-    return best
+    return _col_pair(M[j - 1], M[j])[0]
 
 
 def Cphi(M: Matrix, j: int) -> int:
-    """The maximum of `col_phi_profile` floored at zero, as `Cf` scans."""
+    """The maximum of `col_phi_profile` floored at zero (`_col_pair`)."""
     if not 0 < j < len(M):
         raise _node_error(j, len(M))
-    top, bot = M[j - 1], M[j]
-    best = acc = 0
-    for a, b in zip(top, bot):
-        value = acc + (a > b)
-        if value > best:
-            best = value
-        acc += a - b
-    return best
+    return _col_pair(M[j - 1], M[j])[1]
 
 
 # ---------------------------------------------------------------------------

@@ -692,12 +692,16 @@ def test_row_operator_is_column_morphism():
     assert rep.ok, rep.witness
 
 
-def test_weight_breaking_map_fails():
+def test_constant_map_fails_to_intertwine_f_at_its_fixed_point():
+    # the constant map sends the first element to itself, so weight and
+    # eps/phi hold there and f_1 is the first check to fail; the weight
+    # branch is covered by test_morphism_verifier_reports_each_seeded_map
     crystal = tableau_crystal(2)
     elements = enumerate_b_lambda((2,), 2)
     target = elements[0]
     rep = is_morphism(lambda b: target, crystal, crystal, elements)
-    assert not rep.ok
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 1, "f_1 not intertwined at 1,1")
 
 
 @pytest.mark.parametrize("table, b, witness", [

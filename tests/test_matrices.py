@@ -127,7 +127,8 @@ def test_weights():
 
 def test_kernels_match_their_comprehension_oracles():
     # index-comprehension and profile-list oracles for the zip/map and
-    # one-scan kernels, on every matrix with nm <= 10 and every node
+    # one-scan kernels, on every matrix with nm <= 10 and every node; the
+    # sweep runs from an emptied row-pair table and again from the full one
     def row_weight_oracle(M):
         n, m = dims(M)
         return tuple(sum(M[r][c] for r in range(n)) for c in range(m))
@@ -142,23 +143,30 @@ def test_kernels_match_their_comprehension_oracles():
         return tuple(tuple(word[m - 1 - c][r] for c in range(m))
                      for r in range(n))
 
-    cases = 0
-    for n, m in all_small_dims(10):
-        for N in range(n * m + 1):
-            for M in bit_matrices(n, m, N):
-                cases += 1
-                assert row_weight(M) == row_weight_oracle(M)
-                assert col_weight(M) == tuple(sum(row) for row in M)
-                word = col_word(M)
-                assert word == col_word_oracle(M)
-                assert matrix_from_col_word(word) == from_col_word_oracle(word) == M
-                for i in range(1, m):
-                    assert Reps(M, i) == max(0, max(row_eps_profile(M, i)))
-                    assert Rphi(M, i) == max(0, max(row_phi_profile(M, i)))
-                for j in range(1, n):
-                    assert Ceps(M, j) == max(0, max(col_eps_profile(M, j)))
-                    assert Cphi(M, j) == max(0, max(col_phi_profile(M, j)))
-    assert cases == sum(2 ** (n * m) for n, m in all_small_dims(10))
+    table = matrices._col_pair
+    table.cache_clear()
+    entries = []
+    for _ in ("emptied", "full"):
+        cases = 0
+        for n, m in all_small_dims(10):
+            for N in range(n * m + 1):
+                for M in bit_matrices(n, m, N):
+                    cases += 1
+                    assert row_weight(M) == row_weight_oracle(M)
+                    assert col_weight(M) == tuple(sum(row) for row in M)
+                    word = col_word(M)
+                    assert word == col_word_oracle(M)
+                    assert matrix_from_col_word(word) == from_col_word_oracle(word) == M
+                    for i in range(1, m):
+                        assert Reps(M, i) == max(0, max(row_eps_profile(M, i)))
+                        assert Rphi(M, i) == max(0, max(row_phi_profile(M, i)))
+                    for j in range(1, n):
+                        assert Ceps(M, j) == max(0, max(col_eps_profile(M, j)))
+                        assert Cphi(M, j) == max(0, max(col_phi_profile(M, j)))
+        assert cases == sum(2 ** (n * m) for n, m in all_small_dims(10))
+        entries.append(table.cache_info().currsize)
+    # the second pass reads every pair off the table the first one filled
+    assert entries[0] == entries[1] > 0
 
 
 def test_profile_goldens():
@@ -220,6 +228,37 @@ def test_operators_act_at_the_profile_argmax():
                     assert Cf(M, j) == (None if prof[k] <= 0 else
                                         moved(M, ((j - 1, k, 0), (j, k, 1))))
     assert cases > 10 ** 4
+
+
+def test_rows_shared_by_two_matrices_cost_one_scan():
+    # node 1 reads rows 1 and 2 only: the second matrix is read off the
+    # entry the first one left, and all four C kernels share it
+    first = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+    second = ((1, 0, 1), (0, 1, 1), (1, 1, 0))
+    table = matrices._col_pair
+    table.cache_clear()
+    for M in (first, second):
+        assert (Ceps(M, 1), Cphi(M, 1)) == (1, 1)
+        assert Ce(M, 1) == moved(M, ((0, 1, 1), (1, 1, 0)))
+        assert Cf(M, 1) == moved(M, ((0, 0, 0), (1, 0, 1)))
+    info = table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+
+
+def test_commutation_fills_one_entry_per_row_pair_read(monkeypatch):
+    table = matrices._col_pair
+    read = set()
+
+    def recording(top, bot):
+        read.add((top, bot))
+        return table(top, bot)
+
+    table.cache_clear()
+    monkeypatch.setattr(matrices, "_col_pair", recording)
+    assert verify_commutation(3, 3, 4).ok
+    assert read == {(M[j - 1], M[j]) for M in bit_matrices(3, 3, 4)
+                    for j in (1, 2)}
+    assert table.cache_info().currsize == len(read) <= 4 ** 3
 
 
 def test_operators_raise_on_an_unmovable_maximum():

@@ -560,6 +560,23 @@ def test_cold_outer_actions_walk_no_component(monkeypatch):
         assert outer_on_cols(M, w) == col_turn(M, p, q, col_transport)
 
 
+def test_cold_inner_action_kernel_calls_are_pinned(monkeypatch):
+    # transport on a fresh column model reads every edge through Ce/Cf; the
+    # row-pair table sits under the kernels, so the counts are the same from
+    # an emptied table and from a full one
+    rng = random.Random(4)
+    ones = set(rng.sample(range(16), 8))
+    M = tuple(tuple(int(4 * r + c in ones) for c in range(4)) for r in range(4))
+    monkeypatch.setattr(skewhowe, "matrix_col_crystal", matrices.MatrixColCrystal)
+    calls = count_calls(monkeypatch, [(matrices, "Ce"), (matrices, "Cf")])
+    matrices._col_pair.cache_clear()
+    for _ in ("emptied", "full"):
+        calls.clear()
+        assert inner_on_cols(M, word(4, (1, 4))) == (
+            (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 1, 1), (0, 1, 0, 1))
+        assert calls == Counter(Ce=135, Cf=135)
+
+
 def test_verifiers_keep_block_transport(monkeypatch):
     # with the local block involution replaced by the identity, the sweeps
     # still pass because they transport, and only a comparison of the
