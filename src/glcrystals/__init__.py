@@ -8,7 +8,7 @@ desk-scale verifiers for all of it.
 """
 
 from .base import (DynkinInterval, Partition, Weight, intervals, partition,
-                   schur_bruteforce, theta, transpose, weyl_longest)
+                   schur_bruteforce, transpose, weyl_longest)
 from .cactus import (CactusWord, inner_act, outer_act, parse_word,
                      verify_cactus_relations, verify_reduced_braid, weyl_image,
                      word, xi_full)

@@ -149,15 +149,8 @@ def intervals(rank: int):
             for p in range(1, rank) for q in range(p + 1, rank + 1)]
 
 
-def theta(interval: DynkinInterval, i: int) -> int:
-    """Diagram involution of the interval: node i maps to p + q - 1 - i."""
-    if i not in interval.nodes:
-        raise ValueError(f"node {i} not in {interval}")
-    return interval.p + interval.q - 1 - i
-
-
 def theta_on_nodes(nodes: tuple[int, ...], i: int) -> int:
-    """Same involution, for a bare contiguous node tuple."""
+    """Diagram involution of the nodes p..q-1 of s[p,q]: i maps to p+q-1-i."""
     return nodes[0] + nodes[-1] - i
 
 

@@ -5,7 +5,8 @@ structured output is JSON (DOT for graphs, plain text on request); every
 computation is deterministic, so output for a fixed input is byte-stable.
 
 Exit status: 0 on success or a passing verification, 1 on a verification
-failure (the witness is printed), 2 on usage errors or malformed input.
+failure (the witness is printed), 2 on usage errors (a flag the command
+would not read among them) or malformed input.
 """
 
 import argparse
@@ -36,6 +37,27 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # model selection helpers
 
+# the selector flags each command, verify target and --model reads
+READS = {"tableau": "rank shape", "gt": "rank shape", "matrix": "n m N structure",
+         "tensor": "rank shapes", "graph": "model", "character": "model",
+         "act": "model", "verify all": "budget force", "verify goldens": "",
+         **{f"verify {t}": "n m N budget force" for t in MATRIX_VERIFIERS},
+         "verify bk": "rank shape budget force",
+         **{f"verify {t}": "model budget force" for t in MODEL_VERIFIERS}}
+
+
+def _refuse_unread(args, what: str) -> None:
+    """Reject a selector flag given that `what` or its --model would not read."""
+    reads = READS[what].split()
+    if "model" in reads:
+        args.model = args.model or "tableau"
+        what = f"{what} --model {args.model}"
+        reads += READS[args.model].split()
+    for flag in " ".join(READS.values()).split():
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise UsageError(f"{what} does not read --{flag}")
+
+
 def _check_matrix_size(n: int, m: int, N: int | None) -> None:
     """Reject matrix selectors that would enumerate nothing."""
     if n < 1 or m < 1:
@@ -55,16 +77,15 @@ def _tensor_model(rank: int, shapes: str):
 
 
 def _selected_model(args):
-    """(crystal, elements) for graph/character selectors."""
+    """(crystal, elements) for graph/character/verify model selectors."""
+    rank = 3 if args.rank is None else args.rank
+    shape = parse_partition(args.shape or "")
     if args.model == "tableau":
-        shape = parse_partition(args.shape)
-        return tableau_crystal(args.rank), enumerate_b_lambda(shape, args.rank)
+        return tableau_crystal(rank), enumerate_b_lambda(shape, rank)
     if args.model == "gt":
-        shape = parse_partition(args.shape)
-        crystal = gtmod.pattern_crystal(args.rank)
-        elements = sorted(gtmod.patterns_with_top(shape, args.rank),
-                          key=crystal.canon)
-        return crystal, elements
+        crystal = gtmod.pattern_crystal(rank)
+        return crystal, sorted(gtmod.patterns_with_top(shape, rank),
+                               key=crystal.canon)
     if args.model == "matrix":
         if args.n is None or args.m is None or args.N is None:
             raise UsageError("matrix model needs --n, --m and --N")
@@ -73,9 +94,7 @@ def _selected_model(args):
         if args.structure == "row":
             return matrix_row_crystal(args.n, args.m), elements
         return matrix_col_crystal(args.n, args.m), elements
-    if args.model == "tensor":
-        return _tensor_model(args.rank, args.shapes)
-    raise UsageError(f"unknown model {args.model!r}")
+    return _tensor_model(rank, args.shapes or "")
 
 
 def _read_json(path) -> dict:
@@ -98,12 +117,14 @@ def _emit(args, text: str) -> None:
 # subcommands
 
 def cmd_graph(args) -> int:
+    _refuse_unread(args, "graph")
     crystal, elements = _selected_model(args)
     _emit(args, export_graph(crystal, elements))
     return 0
 
 
 def cmd_character(args) -> int:
+    _refuse_unread(args, "character")
     crystal, elements = _selected_model(args)
     char = character(crystal, elements)
     items = sorted(char.items(), reverse=True)
@@ -134,11 +155,12 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_act(args) -> int:
+    _refuse_unread(args, "act")
     data = _read_json(args.infile)
     if args.model == "matrix":
         M = mat.from_json(data)
         n, m = mat.dims(M)
-        if args.structure == "column":
+        if args.structure != "row":
             w = parse_word(args.word, n if args.mode == "inner" else m)
             out = (inner_on_cols if args.mode == "inner" else outer_on_cols)(M, w)
         else:
@@ -161,23 +183,23 @@ def cmd_act(args) -> int:
         out = inner_act(parse_word(args.word, rank), gtmod.pattern_crystal(rank), x)
         _emit(args, gtmod.to_json(out) if args.format == "json" else gtmod.pretty(out))
         return 0
-    if args.model == "tensor":
-        crystal, t = element_from_json(data)
-        if args.mode == "inner":
-            w = parse_word(args.word, crystal.rank)
-            out_crystal, out = crystal, inner_act(w, crystal, t)
-        else:
-            if not isinstance(crystal, TensorCrystal):
-                raise UsageError("only tensor elements carry the outer action")
-            w = parse_word(args.word, len(crystal.factors))
-            out_crystal, out = outer_act(w, crystal, t)
-        _emit(args, json.dumps(element_to_json(out_crystal, out), indent=2)
-              if args.format == "json" else out_crystal.canon(out))
-        return 0
-    raise UsageError(f"model {args.model!r} not supported by act")
+    crystal, t = element_from_json(data)
+    if args.mode == "inner":
+        w = parse_word(args.word, crystal.rank)
+        out_crystal, out = crystal, inner_act(w, crystal, t)
+    else:
+        if not isinstance(crystal, TensorCrystal):
+            raise UsageError("only tensor elements carry the outer action")
+        w = parse_word(args.word, len(crystal.factors))
+        out_crystal, out = outer_act(w, crystal, t)
+    _emit(args, json.dumps(element_to_json(out_crystal, out), indent=2)
+          if args.format == "json" else out_crystal.canon(out))
+    return 0
 
 
 def cmd_gt(args) -> int:
+    if args.beta and args.format is not None:
+        raise UsageError("gt --beta does not read --format; it prints JSON")
     x = gtmod.from_json(_read_json(args.infile))
     for token in (args.moves or "").split():
         kind, idx = token[0], token[1:]
@@ -187,16 +209,15 @@ def cmd_gt(args) -> int:
             x = gtmod.bk_q(x, int(idx))
         else:
             raise UsageError(f"bad move token {token!r}; use t<j> or q<i>")
-    if args.to_tableau:
-        rows = gtmod.gt_to_tableau(x)
-        rank = gtmod.rank_of(x)
-        _emit(args, tab.to_json(rows, rank) if args.format == "json"
-              else tab.pretty(rows))
-        return 0
     if args.beta:
-        _emit(args, json.dumps(list(gtmod.beta(x))))
-        return 0
-    _emit(args, gtmod.to_json(x) if args.format == "json" else gtmod.pretty(x))
+        text = json.dumps(list(gtmod.beta(x)))
+    elif args.to_tableau:
+        rows = gtmod.gt_to_tableau(x)
+        text = (tab.pretty(rows) if args.format == "text"
+                else tab.to_json(rows, gtmod.rank_of(x)))
+    else:
+        text = gtmod.pretty(x) if args.format == "text" else gtmod.to_json(x)
+    _emit(args, text)
     return 0
 
 
@@ -238,6 +259,7 @@ def cmd_skew_howe(args) -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
+    _refuse_unread(args, f"verify {target}")
     # the one enumeration budget: `verify all` defaults to a sub-minute
     # selection, explicit targets to 10**6.  --budget overrides either way.
     budget = args.budget
@@ -282,12 +304,10 @@ def cmd_verify(args) -> int:
         if len(shape) > args.rank:
             raise UsageError(f"shape {args.shape} has more than {args.rank} rows")
         rows = bk_rows(shape, args.rank, args.shape)
-    elif target in MODEL_VERIFIERS:
+    else:
         crystal, elements = _selected_model(args)
         require_rank(crystal.rank)
         rows = model_rows(target, args.model, crystal, elements)
-    else:
-        raise UsageError(f"unknown verify target {target!r}")
     # an explicitly requested instance over budget is an error, not a silent
     # skip; suites skip instead
     if target != "all" and not args.force:
@@ -325,34 +345,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", choices=["tableau", "matrix", "tensor", "gt"],
-                       default="tableau")
-        p.add_argument("--rank", type=int, default=3)
-        p.add_argument("--shape", default="")
-        p.add_argument("--shapes", default="")
+        p.add_argument("--model", choices=["tableau", "matrix", "tensor", "gt"])
+        p.add_argument("--rank", type=int)
+        p.add_argument("--shape")
+        p.add_argument("--shapes")
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--N", type=int)
-        p.add_argument("--structure", choices=["row", "column"], default="column")
+        p.add_argument("--structure", choices=["row", "column"])
+
+    def add_output(p, formats=("json", "text"), default="json"):
+        p.add_argument("--format", choices=formats, default=default)
+        p.add_argument("--out")
 
     p = sub.add_parser("graph", help="DOT export of a crystal graph")
     add_model_flags(p)
-    p.add_argument("--format", choices=["dot"], default="dot")
-    p.add_argument("--out")
+    add_output(p, ["dot"], "dot")
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("character", help="weight multiset of a model")
     add_model_flags(p)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    add_output(p)
     p.set_defaults(fn=cmd_character)
 
     p = sub.add_parser("tensor", help="components of a tensor of tableau crystals")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--shapes", required=True,
                    help="semicolon-separated shapes, e.g. '2,1;1'")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    add_output(p)
     p.set_defaults(fn=cmd_tensor)
 
     p = sub.add_parser("act", help="apply a cactus word to an element")
@@ -361,39 +381,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="generators act left to right, e.g. 's[1,3] s[2,4]'")
     p.add_argument("--mode", choices=["inner", "outer"], default="inner")
-    p.add_argument("--structure", choices=["row", "column"], default="column")
+    p.add_argument("--structure", choices=["row", "column"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    add_output(p)
     p.set_defaults(fn=cmd_act)
 
     p = sub.add_parser("gt", help="pattern moves, content vector, tableau form")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--moves", default="",
                    help="whitespace-separated tokens t<j> or q<i>")
-    p.add_argument("--to-tableau", action="store_true")
-    p.add_argument("--beta", action="store_true")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--to-tableau", action="store_true")
+    form.add_argument("--beta", action="store_true")
+    add_output(p, default=None)
     p.set_defaults(fn=cmd_gt)
 
     p = sub.add_parser("skew-howe", help="duality pair of a 0/1 matrix")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    add_output(p)
     p.set_defaults(fn=cmd_skew_howe)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("target",
-                   choices=["all", "goldens", "agree", "corollary", "commute",
-                            "dual", "counting", "bk", "cactus", "braid", "xi",
-                            "axioms"])
+    p.add_argument("target", choices=[k.split()[1] for k in READS if " " in k])
     add_model_flags(p)
     p.add_argument("--budget", type=int, default=None,
                    help="skip instances enumerating more than this many "
                         "elements; 0 keeps goldens only (default: 500 for "
                         "'all', 1000000 otherwise)")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", default=None)
     p.set_defaults(fn=cmd_verify)
     return parser
 

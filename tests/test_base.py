@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from glcrystals.base import (DynkinInterval, format_partition, intervals,
                              parse_partition, partition, partitions_in_box,
                              perm_compose, perm_identity, schur_bruteforce,
-                             ssyt_fillings, theta, theta_interval, transpose,
-                             weyl_longest)
+                             ssyt_fillings, theta_interval, theta_on_nodes,
+                             transpose, weyl_longest)
 
 
 def all_partitions(max_size):
@@ -62,23 +62,21 @@ def test_theta_full_interval():
     for n in range(2, 7):
         full = DynkinInterval(1, n, n)
         for i in range(1, n):
-            assert theta(full, i) == n - i
+            assert theta_on_nodes(full.nodes, i) == n - i
 
 
 def test_theta_examples():
-    assert theta(DynkinInterval(2, 4, 4), 2) == 3
+    assert theta_on_nodes(DynkinInterval(2, 4, 4).nodes, 2) == 3
     j = DynkinInterval(3, 7, 8)
-    assert theta(j, 3) == 6  # endpoint swap
+    assert theta_on_nodes(j.nodes, 3) == 6  # endpoint swap
 
 
 def test_theta_involution_and_membership():
     for rank in range(2, 9):
         for j in intervals(rank):
             for i in j.nodes:
-                assert theta(j, theta(j, i)) == i
-                assert theta(j, i) in j.nodes
-    with pytest.raises(ValueError):
-        theta(DynkinInterval(1, 2, 4), 3)
+                assert theta_on_nodes(j.nodes, theta_on_nodes(j.nodes, i)) == i
+                assert theta_on_nodes(j.nodes, i) in j.nodes
 
 
 def test_theta_interval_nested():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -531,3 +533,156 @@ def test_rss_gate_fails_over_its_limit_and_passes_under_it():
     under = subprocess.run([*gate, "1000", "goldens"], env=env,
                            capture_output=True, text=True, timeout=120)
     assert under.returncode == 0, under.stdout + under.stderr
+
+
+@pytest.mark.parametrize("given", [[], ["--rank", "3"], ["--shape", "2,1"]],
+                         ids=["neither", "rank-only", "shape-only"])
+def test_verify_bk_needs_rank_and_shape(capsys, given):
+    # bk has no default rank or shape: it used to pass on rank 3, shape ()
+    assert run(["verify", "bk", *given]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: verify bk needs --rank and --shape\n"
+
+
+# ---------------------------------------------------------------------------
+# the flags each command reads
+
+# two values of every selector, --budget, --force and gt flag; a flag a
+# command does not read is added with its first value.  None marks a switch.
+VALUES = {"--model": ("matrix", "tableau"), "--rank": ("3", "2"),
+          "--shape": ("2,1", "1"), "--shapes": ("1;1", "2;1"),
+          "--n": ("2", "3"), "--m": ("2", "3"), "--N": ("2", "1"),
+          "--structure": ("row", "column"), "--budget": ("1", "100"),
+          "--force": None, "--moves": ("t1", "q2"), "--to-tableau": None,
+          "--beta": None, "--format": ("json", "text")}
+GT_FLAGS = ("--moves", "--to-tableau", "--beta", "--format")
+# argparse reads an unambiguous prefix as the longer flag
+ABBREVIATED = {"gt": "--m", "tensor": "--shape"}
+MODELS = {"tableau": {"--model": "tableau", "--rank": "3", "--shape": "2,1"},
+          "gt": {"--model": "gt", "--rank": "3", "--shape": "2,1"},
+          "matrix": {"--model": "matrix", "--n": "2", "--m": "3", "--N": "3",
+                     "--structure": "row"},
+          "tensor": {"--model": "tensor", "--rank": "3", "--shapes": "1;1"}}
+INPUTS = {"M.json": M_JSON, "x.json": X_JSON,
+          "t.json": {"rank": 3, "rows": [[1, 1, 2], [2, 3]]},
+          "v.json": {"model": "tensor", "factors": [
+              {"model": "fundamental", "rank": 3, "bits": [1, 1, 0]},
+              {"model": "fundamental", "rank": 3, "bits": [1, 0, 0]}]}}
+RUNS = {"--budget": "100", "--force": False}
+
+
+def _read_cases():
+    """{case: (argv prefix, every table flag the case reads, valued)}; a
+    switch is True when given and False when left out."""
+    cases = {f"{command} {model}": ([command], flags)
+             for command in ("graph", "character")
+             for model, flags in MODELS.items()}
+    for model, path, word in (("tableau", "t.json", "s[1,3]"),
+                              ("gt", "x.json", "s[1,3]"),
+                              ("matrix", "M.json", "s[1,2]"),
+                              ("tensor", "v.json", "s[1,2]")):
+        flags = {"--model": model}
+        if model == "matrix":
+            flags["--structure"] = "row"
+        cases[f"act {model}"] = (["act", "--word", word, "--in", path], flags)
+    gt = ["gt", "--in", "x.json"]
+    cases["gt"] = (gt, {"--moves": "t1", "--format": "json",
+                        "--to-tableau": False, "--beta": False})
+    cases["gt --beta"] = (gt, {"--moves": "t1", "--beta": True})
+    cases["gt --to-tableau"] = (gt, {"--moves": "t1", "--to-tableau": True,
+                                     "--format": "json"})
+    cases["tensor"] = (["tensor"], {"--rank": "3", "--shapes": "1;1"})
+    cases["skew-howe"] = (["skew-howe", "--in", "M.json"], {})
+    cases["verify goldens"] = (["verify", "goldens"], {})
+    cases["verify all"] = (["verify", "all"], {"--budget": "1", "--force": False})
+    for target in ("agree", "corollary", "commute", "dual", "counting"):
+        cases[f"verify {target}"] = (["verify", target], {
+            "--n": "2", "--m": "3", "--N": "3", **RUNS})
+    cases["verify bk"] = (["verify", "bk"],
+                          {"--rank": "3", "--shape": "2,1", **RUNS})
+    for target in ("cactus", "braid", "xi", "axioms"):
+        for model, flags in MODELS.items():
+            cases[f"verify {target} {model}"] = (["verify", target],
+                                                 {**flags, **RUNS})
+    return cases
+
+
+READ_CASES = _read_cases()
+
+
+def _argv(prefix, flags):
+    argv = list(prefix)
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, value]
+    return argv
+
+
+def _other(flag, value):
+    if VALUES[flag] is None:
+        return not value
+    return next(v for v in VALUES[flag] if v != value)
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_each_command_reads_every_flag_it_accepts(tmp_path, monkeypatch,
+                                                  capsys, case):
+    # walk the parser from one valid invocation per command, verify target
+    # and model: a flag outside the read table is exit 2 naming the flag, and
+    # changing a flag inside it changes the exit code or stdout
+    monkeypatch.chdir(tmp_path)
+    for name, payload in INPUTS.items():
+        write(tmp_path, name, payload)
+    # `verify all` on two rows, one of them over a budget of 1
+    monkeypatch.setattr(cli, "suite_rows", lambda: [
+        (label, cost, lambda: Report("stub", {}, 1, "pass"))
+        for label, cost in (("cheap", 1), ("dear", 5))])
+    prefix, flags = READ_CASES[case]
+
+    def outcome(flags):
+        code = run(_argv(prefix, flags))
+        return code, capsys.readouterr()
+
+    code, base = outcome(flags)
+    assert code == 0, base.err
+    command = prefix[0]
+    unread = [flag for flag in VALUES if flag not in flags
+              and (command == "gt" or flag not in GT_FLAGS)
+              and ABBREVIATED.get(command) != flag]
+    for flag in unread:
+        value = True if VALUES[flag] is None else VALUES[flag][0]
+        code, captured = outcome({**flags, flag: value})
+        assert code == 2 and captured.out == "", flag
+        assert re.search(re.escape(flag) + r"\b", captured.err), captured.err
+    for flag, value in flags.items():
+        # --force matters only where some instance is over budget
+        before = {**flags, "--budget": "1"} if flag == "--force" else flags
+        changed = outcome({**before, flag: _other(flag, value)})
+        kept = outcome(before)
+        assert (changed[0], changed[1].out) != (kept[0], kept[1].out), flag
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # every `glcrystals ...` line of the README's Command line block exits 0,
+    # on the input files its "Input files" section shows
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True)[1:]
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("glcrystals ")]
+    assert {argv[0] for argv in argvs} == {
+        "graph", "character", "tensor", "act", "gt", "skew-howe", "verify"}
+    inputs = section.split("### Input files", 1)[1]
+    for name, kind in (("M.json", "Matrix"), ("x.json", "Pattern")):
+        payload = re.search(rf"- {kind}: `([^`]*)`", inputs).group(1)
+        (tmp_path / name).write_text(payload)
+    monkeypatch.chdir(tmp_path)
+    # `verify all` is timed and pinned elsewhere; here its lines only parse
+    monkeypatch.setattr(cli, "suite_rows", lambda: [])
+    for argv in argvs:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()

@@ -111,13 +111,6 @@ def test_psi_golden():
     assert psi_map(MATRIX_A_Q) == TABLEAU_Q
 
 
-def test_phi_inverse_exhaustive():
-    for N in range(10):
-        for M in bit_matrices(3, 3, N):
-            if all(Reps(M, i) == 0 for i in (1, 2)):
-                assert phi_inv(phi_map(M), 3, 3) == M
-
-
 def test_psi_inverse_golden():
     assert psi_inv(TABLEAU_Q, 5, 3) == MATRIX_A_Q
     assert phi_inv(TABLEAU_P, 3, 5) == MATRIX_A_P
