@@ -59,6 +59,16 @@ def bit_matrices(n: int, m: int, N: int):
         yield tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(n))
 
 
+def matrix_instance(n: int, m: int, N: int) -> dict:
+    """The instance of an (n, m, N) verifier, the n x m matrices with N
+    ones.  Raises ValueError unless n, m >= 1 and 0 <= N <= n*m, so that no
+    such instance passes by enumerating nothing."""
+    if n < 1 or m < 1 or not 0 <= N <= n * m:
+        raise ValueError(f"no {n} x {m} matrices with {N} ones: need "
+                         f"n, m >= 1 and 0 <= N <= n*m")
+    return {"n": n, "m": m, "N": N}
+
+
 def row_weight(M: Matrix) -> Weight:
     """Column sums: the weight for the rank-m (row word) structure."""
     return tuple(map(sum, zip(*M)))
@@ -398,7 +408,7 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
     them, including the checks of the matrices whose operator target it is.
     The cache is freed when the call returns.
     """
-    instance = {"n": n, "m": m, "N": N}
+    instance = matrix_instance(n, m, N)
     checked = 0
     r_nodes, c_nodes = range(1, m), range(1, n)
 
@@ -459,7 +469,7 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
 def verify_dual_implementation(n: int, m: int, N: int) -> Report:
     """Closed formulas against the tensor rule, every operator and index,
     every matrix.  The tensor structures are built once per matrix."""
-    instance = {"n": n, "m": m, "N": N}
+    instance = matrix_instance(n, m, N)
     checked = 0
 
     def bad(msg, M):

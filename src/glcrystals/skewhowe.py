@@ -30,7 +30,8 @@ from .cactus import CactusWord, inner_act
 from .core import Report, schuetzenberger, to_highest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, col_word, dims, matrix_col_crystal,
-                       matrix_from_col_word, matrix_row_crystal)
+                       matrix_from_col_word, matrix_instance,
+                       matrix_row_crystal)
 from .tableaux import Rows, evacuate, shape_of, ssyt
 
 
@@ -232,7 +233,8 @@ def duality_inv(pair: DualityPair) -> Matrix:
 # component.  The inner actions keep edge transport, which keeps the
 # agreement of the two actions a check of two independent routes, and
 # `verify_agreement`/`verify_corollary` pass transport for the block step,
-# where the memo serves their sweeps.
+# where the memo serves their sweeps.  They apply the step to a
+# generator's block alone, as `_turn_rows(B, 0, k, ...)` on its k rows.
 
 def _turn_rows(M: Matrix, lo: int, hi: int, block_xi) -> Matrix:
     """One block step on the row word: turn rows lo..hi-1 (0-based) by half
@@ -295,21 +297,44 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
 # ---------------------------------------------------------------------------
 # verifiers
 #
-# The verifiers call `schuetzenberger` on models built once per call, and
-# the block step with the transport seams, which they look up at call time.
+# A generator s[p,q] and the nodes p..q-1 read and move only the block of
+# rows (or columns) p..q: the outer side by its definition, and the inner
+# side because the operator at node j reads and moves rows j, j+1 only.
+# So the component of M under p..q-1 is the block's component in the
+# block's own model, with the rest of M fixed, and its involution is the
+# full involution of that model spliced back.  The agreement and corollary
+# verifiers therefore compare the two sides on the block alone, through
+# `schuetzenberger` on block models that the `lru_cache` factories share
+# across n, m, N and p: a sweep walks each block component once, not once
+# per copy of it in a larger matrix.  They look the factories and the
+# block step's transport seam up at call time, and their witnesses print
+# the whole matrix.
+
+def _blocks(rank: int, block_model) -> list:
+    """(s[p,q], lo, hi, model, nodes) for each rank-`rank` generator: the
+    block it reads and moves is rows (or columns) lo..hi-1 = p-1..q-1
+    (0-based), `model = block_model(k)` is the model of a block of
+    k = q-p+1 of them and `nodes` = 1..k-1 its full node set."""
+    out = []
+    for g in intervals(rank):
+        k = g.q - g.p + 1
+        out.append((g, g.p - 1, g.q, block_model(k), tuple(range(1, k))))
+    return out
+
 
 def verify_agreement(n: int, m: int, N: int) -> Report:
     """For every matrix and every rank-n generator, the outer action on the
-    row word equals the inner action through the rank-n structure."""
-    instance = {"n": n, "m": m, "N": N}
-    col_model = matrix_col_crystal(n, m)
-    gens = [(g, g.p - 1, g.q, g.nodes) for g in intervals(n)]
+    row word equals the inner action through the rank-n structure, both
+    read off the generator's block of rows."""
+    instance = matrix_instance(n, m, N)
+    gens = _blocks(n, lambda k: matrix_col_crystal(k, m))
     checked = 0
     for M in bit_matrices(n, m, N):
-        for g, lo, hi, nodes in gens:
+        for g, lo, hi, model, nodes in gens:
             checked += 1
-            outer = _turn_rows(M, lo, hi, _row_xi_by_transport)
-            if outer != schuetzenberger(col_model, M, nodes):
+            B = M[lo:hi]
+            if _turn_rows(B, 0, hi - lo, _row_xi_by_transport) != \
+                    schuetzenberger(model, B, nodes):
                 return Report("agreement", instance, checked, "fail",
                               f"{g} outer != inner at {_flat(M)}")
     return Report("agreement", instance, checked, "pass")
@@ -320,18 +345,17 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
     C operators with the R operators and the inner actions, and for every
     rank-m generator s[p,q] the outer action on the column word at the
     reflected interval equals the inner action through the rank-m structure.
+    The involutions act on the generator's block alone: rows p..q of an
+    m x n matrix in the C model of those q-p+1 rows, and columns p..q of
+    an n x m matrix in the R model of those q-p+1 columns.
     """
-    instance = {"n": n, "m": m, "N": N}
-    # m x n matrices with the C operators, their n x m quarter turns and
-    # the n x m matrices of the outer side with the R operators
-    col_model = matrix_col_crystal(m, n)
-    row_model = matrix_row_crystal(n, m)
+    instance = matrix_instance(n, m, N)
+    # rows lo..hi-1 of an m x n matrix M with the C operators are the
+    # columns lo..hi-1 of its quarter turn R with the R operators
+    c_blocks = _blocks(m, lambda k: matrix_col_crystal(k, n))
+    r_blocks = _blocks(m, lambda k: matrix_row_crystal(n, k))
     steps = [(i, cop, rop, tag) for i in range(1, m)
              for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf"))]
-    # the reflected interval s[m+1-q, m+1-p] of the column word spans the
-    # columns p-1..q-1 of N, which are the rows m-q..m-p of its quarter turn
-    gens = [(g, g.nodes, DynkinInterval(m + 1 - g.q, m + 1 - g.p, m),
-             m - g.q, m + 1 - g.p) for g in intervals(m)]
     checked = 0
     for M in bit_matrices(m, n, N):
         R = col_word(M)
@@ -344,19 +368,25 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine {tag} at {i}, "
                               f"{_flat(M)}")
-        for g, nodes, _, _, _ in gens:
+        for (g, lo, hi, c_model, nodes), (_, _, _, r_model, _) in \
+                zip(c_blocks, r_blocks):
             checked += 1
-            if col_word(schuetzenberger(col_model, M, nodes)) != \
-                    schuetzenberger(row_model, R, nodes):
+            if col_word(schuetzenberger(c_model, M[lo:hi], nodes)) != \
+                    schuetzenberger(r_model, tuple([row[lo:hi] for row in R]),
+                                    nodes):
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine inner {g} at {_flat(M)}")
+    # the reflected interval s[m+1-q, m+1-p] of the column word turns the
+    # rows m-q..m-p of the quarter turn, which are the quarter turn of the
+    # block of columns p-1..q-1
     for N_mat in bit_matrices(n, m, N):
-        W = col_word(N_mat)
-        for g, nodes, reflected, lo, hi in gens:
+        for g, lo, hi, model, nodes in r_blocks:
             checked += 1
+            B = tuple([row[lo:hi] for row in N_mat])
             outer = matrix_from_col_word(
-                _turn_rows(W, lo, hi, _row_xi_by_transport))
-            if outer != schuetzenberger(row_model, N_mat, nodes):
+                _turn_rows(col_word(B), 0, hi - lo, _row_xi_by_transport))
+            if outer != schuetzenberger(model, B, nodes):
+                reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
                 return Report("corollary", instance, checked, "fail",
                               f"{reflected} outer on columns != "
                               f"inner {g} at {_flat(N_mat)}")
@@ -367,7 +397,7 @@ def verify_counting(n: int, m: int, N: int) -> Report:
     """Sum over shapes in the n x m box with N boxes of (number of rank-n
     tableaux) times (number of rank-m tableaux of the transpose shape)
     equals the number of matrices."""
-    instance = {"n": n, "m": m, "N": N}
+    instance = matrix_instance(n, m, N)
     total = 0
     for lam in partitions_in_box(n, m, N):
         count_n = sum(1 for _ in ssyt_fillings(lam, n))

@@ -3,6 +3,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -417,6 +418,135 @@ def test_corollary_small_exhaustive():
     for N in range(7):
         rep = verify_corollary(2, 3, N)
         assert rep.ok, rep.witness
+
+
+@pytest.mark.parametrize("verify", [
+    verify_agreement, verify_corollary, verify_counting,
+    matrices.verify_commutation, matrices.verify_dual_implementation])
+@pytest.mark.parametrize("n, m, N", [(2, 2, 5), (2, 2, -1), (0, 3, 0),
+                                     (3, 0, 0), (-1, 2, 0)])
+def test_matrix_verifiers_refuse_an_instance_with_no_matrices(verify, n, m,
+                                                             N):
+    with pytest.raises(ValueError, match=rf"^no {n} x {m} matrices with "
+                                         rf"{N} ones: need n, m >= 1 and "
+                                         r"0 <= N <= n\*m$"):
+        verify(n, m, N)
+
+
+# ---------------------------------------------------------------------------
+# block locality: s[p,q] reads and moves only its block
+
+def fresh_models():
+    """Matrix model factories with an empty memo, shared across sizes as
+    the library's `lru_cache` factories are; `built` maps each model's id
+    to (class name, n, m)."""
+    built = {}
+
+    def fresh(cls):
+        @lru_cache(maxsize=None)
+        def factory(n, m):
+            model = cls(n, m)
+            built[id(model)] = (cls.__name__, n, m)
+            return model
+        return factory
+
+    return (fresh(matrices.MatrixColCrystal),
+            fresh(matrices.MatrixRowCrystal), built)
+
+
+def block_locality_mismatches(shapes):
+    """(cases, mismatches) of the block-locality lemma on every matrix of
+    each n x m shape and every interval, on fresh models: the full model's
+    involution equals the block model's full involution spliced back, on
+    row blocks in the C models and on column blocks in the R models.  The
+    block bounds and models come from `skewhowe._blocks`, as in the
+    verifiers."""
+    col_model, row_model, _ = fresh_models()
+    cases = mismatches = 0
+    for n, m in shapes:
+        rows = skewhowe._blocks(n, lambda k: col_model(k, m))
+        cols = skewhowe._blocks(m, lambda k: row_model(n, k))
+        for N in range(n * m + 1):
+            for M in bit_matrices(n, m, N):
+                for g, lo, hi, model, nodes in rows:
+                    cases += 1
+                    block = schuetzenberger(model, M[lo:hi], nodes)
+                    mismatches += M[:lo] + block + M[hi:] != \
+                        schuetzenberger(col_model(n, m), M, g.nodes)
+                for g, lo, hi, model, nodes in cols:
+                    cases += 1
+                    block = schuetzenberger(
+                        model, tuple([row[lo:hi] for row in M]), nodes)
+                    spliced = tuple([row[:lo] + new + row[hi:]
+                                     for row, new in zip(M, block)])
+                    mismatches += spliced != \
+                        schuetzenberger(row_model(n, m), M, g.nodes)
+    return cases, mismatches
+
+
+def test_involutions_are_block_local():
+    assert block_locality_mismatches(all_small_dims(9)) == (66584, 0)
+
+
+def _mirrored_past_two_rows(kernel):
+    """A C kernel that, on a matrix of more than two rows, acts on the
+    column mirror image and mirrors back.  Conjugating by a bijection that
+    keeps the row sums gives a crystal again, but the operator at node j
+    then depends on whether the matrix has rows besides j and j+1, so a
+    block moves differently in its own model than inside a larger matrix:
+    the model is not block local."""
+    def mirrored(M, j):
+        if len(M) <= 2:
+            return kernel(M, j)
+        out = kernel(tuple([row[::-1] for row in M]), j)
+        if not isinstance(out, tuple):  # None, or an eps/phi value
+            return out
+        return tuple([row[::-1] for row in out])
+    return mirrored
+
+
+def test_block_checks_fail_on_a_consistent_model_that_is_not_block_local(
+        monkeypatch):
+    for name in ("Ce", "Cf", "Ceps", "Cphi"):
+        monkeypatch.setattr(matrices, name,
+                            _mirrored_past_two_rows(getattr(matrices, name)))
+    col_model, row_model, _ = fresh_models()
+    assert core.check_crystal_axioms(
+        col_model(3, 3), [M for N in range(10)
+                          for M in bit_matrices(3, 3, N)]).ok
+    # the shapes of at most 9 cells with more than two rows and more than
+    # one column; two columns hide the mirror, so all 96 are at 3 x 3
+    assert block_locality_mismatches(((3, 2), (3, 3), (4, 2))) == (5120, 96)
+    monkeypatch.setattr(skewhowe, "matrix_col_crystal", col_model)
+    monkeypatch.setattr(skewhowe, "matrix_row_crystal", row_model)
+    reports = [verify_agreement(3, 3, N) for N in range(10)]
+    assert [rep.ok for rep in reports] == [True] * 3 + [False] * 4 + [True] * 3
+    assert (reports[3].checked, reports[3].witness) == (
+        11, "s[1,3] outer != inner at 110001000")
+
+
+def test_cold_agreement_sweep_walks_each_block_component_once(monkeypatch):
+    # a sweep at (5, 2) after one at (4, 2) reuses every block model of at
+    # most four rows, so it walks only the components of the 5-row ones
+    col_model, row_model, built = fresh_models()
+    monkeypatch.setattr(skewhowe, "matrix_col_crystal", col_model)
+    monkeypatch.setattr(skewhowe, "matrix_row_crystal", row_model)
+    walks = Counter()
+    walk = core._walk
+
+    def counted(crystal, b, nodes):
+        walks[built[id(crystal)]] += 1
+        return walk(crystal, b, nodes)
+
+    monkeypatch.setattr(core, "_walk", counted)
+    for N in range(9):
+        assert verify_agreement(4, 2, N).ok
+    assert sum(walks.values()) == 236
+    before = Counter(walks)
+    for N in range(11):
+        assert verify_agreement(5, 2, N).ok
+    assert walks - before == Counter({("MatrixColCrystal", 5, 2): 56,
+                                      ("MatrixRowCrystal", 5, 2): 462})
 
 
 # ---------------------------------------------------------------------------
