@@ -1,7 +1,8 @@
 """Shared exact combinatorics: strict integer rows and fields for input,
 partitions, integer weight vectors, type-A Dynkin intervals with their
-diagram involution, block-reversal permutations, and a brute-force Schur
-oracle.
+diagram involution, block-reversal permutations, semistandard fillings,
+Gelfand-Tsetlin patterns by interlacing, Weyl's dimension formula and a
+brute-force Schur oracle.
 
 Node indices are 1-based throughout: the Dynkin diagram of gl_k has nodes
 {1, ..., k-1} and the interval written (p, q) covers nodes {p, ..., q-1}.
@@ -9,6 +10,8 @@ Node indices are 1-based throughout: the Dynkin diagram of gl_k has nodes
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -179,7 +182,8 @@ def perm_compose(after: Permutation, before: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# brute-force Schur oracle (no crystal code involved)
+# semistandard fillings, Gelfand-Tsetlin patterns and the Schur oracle
+# (no crystal code involved)
 
 def ssyt_fillings(shape, rank: int):
     """Yield every semistandard filling of `shape` with entries in 1..rank,
@@ -219,10 +223,59 @@ def content(rows, rank: int) -> Weight:
     return tuple(counts)
 
 
-def schur_bruteforce(shape, rank: int) -> Counter:
-    """Weight multiset of all semistandard fillings of `shape` in 1..rank.
+def interlacing_rows(upper):
+    """Every row one shorter than `upper` that interlaces it, as tuples:
+    upper[i] >= lower[i] >= upper[i + 1].  Interlacing alone keeps a row
+    weakly decreasing."""
+    return product(*[range(upper[i + 1], upper[i] + 1)
+                     for i in range(len(upper) - 1)])
 
-    Independent oracle for crystal characters; enumerates fillings directly
-    and never touches crystal operators.
+
+def schur_bruteforce(shape, rank: int) -> Counter:
+    """Weight multiset of the semistandard tableaux of `shape` in 1..rank,
+    by the branching rule: the Gelfand-Tsetlin patterns with top row
+    `shape`, one weight each, its entry j the sum of the length-j row less
+    that of the row below.  The weights below each row are counted once
+    per call, however many rows above interlace it.  Empty when the shape
+    has more than `rank` rows.
+
+    Independent oracle for crystal characters: it reads neither tableau
+    fillings nor their `content`, and never touches crystal operators.
     """
-    return Counter(content(rows, rank) for rows in ssyt_fillings(shape, rank))
+    shape = partition(shape)
+    if len(shape) > rank:
+        return Counter()
+    if rank == 0:
+        return Counter({(): 1})
+
+    @cache
+    def below(row) -> Counter:
+        # weights of the patterns whose top row is `row`
+        if len(row) == 1:
+            return Counter({row: 1})
+        out = Counter()
+        size = sum(row)
+        for lower in interlacing_rows(row):
+            step = size - sum(lower)
+            for w, c in below(lower).items():
+                out[w + (step,)] += c
+        return out
+
+    return below(shape + (0,) * (rank - len(shape)))
+
+
+def weyl_dimension(shape, rank: int) -> int:
+    """Number of semistandard tableaux of `shape` in 1..rank (and of
+    patterns with top row `shape`), by Weyl's dimension formula: the
+    product over i < j of (l_i - l_j + j - i) / (j - i), l the shape padded
+    to `rank` parts.  0 when the shape has more than `rank` rows."""
+    shape = partition(shape)
+    if len(shape) > rank:
+        return 0
+    lam = shape + (0,) * (rank - len(shape))
+    num = den = 1
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    return num // den

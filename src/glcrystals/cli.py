@@ -12,12 +12,15 @@ would not read among them) or malformed input.
 import argparse
 import json
 import sys
+from functools import partial
 from itertools import product
+from math import comb, prod
 
 from . import gt as gtmod
 from . import matrices as mat
 from . import tableaux as tab
-from .base import format_partition, format_weight, parse_partition
+from .base import (format_partition, format_weight, parse_partition,
+                   weyl_dimension)
 from .cactus import inner_act, outer_act, parse_word
 from .core import Report, character, components, export_graph
 from .matrices import bit_matrices, matrix_col_crystal, matrix_row_crystal
@@ -68,32 +71,38 @@ def _check_matrix_size(n: int, m: int, N: int | None) -> None:
 
 
 def _tensor_model(rank: int, shapes: str):
-    """(crystal, elements) for the tensor product of the tableau crystals of
-    the semicolon-separated shapes, in lexicographic factor order."""
+    """(crystal, size, elements) for the tensor product of the tableau
+    crystals of the semicolon-separated shapes: `elements()` lists its
+    `size` elements in lexicographic factor order."""
     parts = [parse_partition(s) for s in shapes.split(";")]
     crystal = tensor_crystal(*([tableau_crystal(rank)] * len(parts)))
-    pools = [enumerate_b_lambda(s, rank) for s in parts]
-    return crystal, list(product(*pools))
+    return (crystal, prod(weyl_dimension(s, rank) for s in parts),
+            lambda: list(product(*[enumerate_b_lambda(s, rank)
+                                   for s in parts])))
 
 
 def _selected_model(args):
-    """(crystal, elements) for graph/character/verify model selectors."""
+    """(crystal, size, elements) for graph/character/verify model selectors:
+    `elements()` enumerates the selection and `size`, its length, is read
+    off a formula (Weyl's dimension formula, or a binomial for matrices),
+    so `verify` can price a selection without enumerating it."""
     rank = 3 if args.rank is None else args.rank
     shape = parse_partition(args.shape or "")
     if args.model == "tableau":
-        return tableau_crystal(rank), enumerate_b_lambda(shape, rank)
+        return (tableau_crystal(rank), weyl_dimension(shape, rank),
+                partial(enumerate_b_lambda, shape, rank))
     if args.model == "gt":
         crystal = gtmod.pattern_crystal(rank)
-        return crystal, sorted(gtmod.patterns_with_top(shape, rank),
-                               key=crystal.canon)
+        return crystal, weyl_dimension(shape, rank), lambda: sorted(
+            gtmod.patterns_with_top(shape, rank), key=crystal.canon)
     if args.model == "matrix":
-        if args.n is None or args.m is None or args.N is None:
+        n, m, N = args.n, args.m, args.N
+        if n is None or m is None or N is None:
             raise UsageError("matrix model needs --n, --m and --N")
-        _check_matrix_size(args.n, args.m, args.N)
-        elements = list(bit_matrices(args.n, args.m, args.N))
-        if args.structure == "row":
-            return matrix_row_crystal(args.n, args.m), elements
-        return matrix_col_crystal(args.n, args.m), elements
+        _check_matrix_size(n, m, N)
+        model = (matrix_row_crystal if args.structure == "row"
+                 else matrix_col_crystal)
+        return model(n, m), comb(n * m, N), lambda: list(bit_matrices(n, m, N))
     return _tensor_model(rank, args.shapes or "")
 
 
@@ -118,14 +127,15 @@ def _emit(args, text: str) -> None:
 
 def cmd_graph(args) -> int:
     _refuse_unread(args, "graph")
-    crystal, elements = _selected_model(args)
-    _emit(args, export_graph(crystal, elements))
+    crystal, _, elements = _selected_model(args)
+    _emit(args, export_graph(crystal, elements()))
     return 0
 
 
 def cmd_character(args) -> int:
     _refuse_unread(args, "character")
-    crystal, elements = _selected_model(args)
+    crystal, _, enumerate_ = _selected_model(args)
+    elements = enumerate_()
     char = character(crystal, elements)
     items = sorted(char.items(), reverse=True)
     if args.format == "json":
@@ -138,7 +148,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    crystal, elements = _tensor_model(args.rank, args.shapes)
+    crystal, _, enumerate_ = _tensor_model(args.rank, args.shapes)
+    elements = enumerate_()
     comps = components(crystal, elements, crystal.nodes())
     rows = [{"highest_weight": list(crystal.weight(c.highest)),
              "size": len(c.elements)} for c in comps]
@@ -305,9 +316,13 @@ def cmd_verify(args) -> int:
             raise UsageError(f"shape {args.shape} has more than {args.rank} rows")
         rows = bk_rows(shape, args.rank, args.shape)
     else:
-        crystal, elements = _selected_model(args)
+        crystal, size, enumerate_ = _selected_model(args)
+        # a selection over budget is refused below without being
+        # enumerated; one within it is enumerated before the rank check, as
+        # only a malformed one (size 0) can fail to enumerate
+        elements = enumerate_() if size <= budget or args.force else None
         require_rank(crystal.rank)
-        rows = model_rows(target, args.model, crystal, elements)
+        rows = model_rows(target, args.model, crystal, size, elements)
     # an explicitly requested instance over budget is an error, not a silent
     # skip; suites skip instead
     if target != "all" and not args.force:

@@ -9,9 +9,9 @@ above.  Row j (of length j, counted from the bottom) is rows[n-j].
 import json
 from bisect import bisect_right
 from functools import cache, lru_cache
-from itertools import product
 
-from .base import Weight, field, int_field, int_rows, intervals, partition
+from .base import (Weight, field, int_field, int_rows, interlacing_rows,
+                   intervals, partition)
 from .core import Crystal, Report, schuetzenberger
 from .tableaux import Rows, ssyt, tableau_crystal
 
@@ -128,10 +128,7 @@ def patterns_with_top(lam, n: int):
         if len(upper) == 1:
             yield (upper,)
             return
-        # interlacing alone keeps each row weakly decreasing:
-        # lower[i] >= upper[i + 1] >= lower[i + 1]
-        ranges = [range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)]
-        for lower in product(*ranges):
+        for lower in interlacing_rows(upper):
             for rest in rec(lower):
                 yield (upper,) + rest
 

@@ -407,6 +407,12 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
     first time a check reads them, and shared with every check that reads
     them, including the checks of the matrices whose operator target it is.
     The cache is freed when the call returns.
+
+    With N = 0 or N = nm no operator moves, and the instance passes with
+    checked=0 (`verify` leaves it out).
+    Raising there waits for a change to the benchmark, whose sweeps call
+    the (n, m, N) verifiers on such instances and count an exception as a
+    failed operation.
     """
     instance = matrix_instance(n, m, N)
     checked = 0
@@ -468,7 +474,14 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
 
 def verify_dual_implementation(n: int, m: int, N: int) -> Report:
     """Closed formulas against the tensor rule, every operator and index,
-    every matrix.  The tensor structures are built once per matrix."""
+    every matrix.  The tensor structures are built once per matrix.
+
+    With n = m = 1 there is no node on either side, and the instance passes
+    with checked=0 (`verify` leaves it out).
+    Raising there waits for a change to the benchmark, whose sweeps call
+    the (n, m, N) verifiers on such instances and count an exception as a
+    failed operation.
+    """
     instance = matrix_instance(n, m, N)
     checked = 0
 

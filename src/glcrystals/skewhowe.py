@@ -325,7 +325,14 @@ def _blocks(rank: int, block_model) -> list:
 def verify_agreement(n: int, m: int, N: int) -> Report:
     """For every matrix and every rank-n generator, the outer action on the
     row word equals the inner action through the rank-n structure, both
-    read off the generator's block of rows."""
+    read off the generator's block of rows.
+
+    With n = 1 there is no generator, and an instance with matrices passes
+    with checked=0 (`verify` leaves it out).
+    Raising there waits for a change to the benchmark, whose sweeps call
+    the (n, m, N) verifiers on such instances and count an exception as a
+    failed operation.
+    """
     instance = matrix_instance(n, m, N)
     gens = _blocks(n, lambda k: matrix_col_crystal(k, m))
     checked = 0
@@ -348,6 +355,12 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
     The involutions act on the generator's block alone: rows p..q of an
     m x n matrix in the C model of those q-p+1 rows, and columns p..q of
     an n x m matrix in the R model of those q-p+1 columns.
+
+    With m = 1 there is no node or generator, and an instance with matrices
+    passes with checked=0 (`verify` leaves it out).
+    Raising there waits for a change to the benchmark, whose sweeps call
+    the (n, m, N) verifiers on such instances and count an exception as a
+    failed operation.
     """
     instance = matrix_instance(n, m, N)
     # rows lo..hi-1 of an m x n matrix M with the C operators are the
@@ -396,7 +409,9 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
 def verify_counting(n: int, m: int, N: int) -> Report:
     """Sum over shapes in the n x m box with N boxes of (number of rank-n
     tableaux) times (number of rank-m tableaux of the transpose shape)
-    equals the number of matrices."""
+    equals the number of matrices.  It makes this one check on every
+    instance, so unlike the other (n, m, N) verifiers it never passes with
+    checked=0."""
     instance = matrix_instance(n, m, N)
     total = 0
     for lam in partitions_in_box(n, m, N):

@@ -7,12 +7,13 @@ checks the enumeration size `cost` against a budget; `thunk` gives a Report.
 from functools import partial
 from math import comb
 
-from .base import format_partition, partitions_in_box, schur_bruteforce
+from .base import (format_partition, partitions_in_box, schur_bruteforce,
+                   weyl_dimension)
 from .cactus import verify_cactus_relations, verify_reduced_braid
 from .core import (Report, character, check_crystal_axioms,
                    verify_involution_properties)
 from .goldens import GOLDENS
-from .gt import check_cgp_homomorphism, patterns_with_top
+from .gt import check_cgp_homomorphism
 from .matrices import (bit_matrices, matrix_col_crystal, matrix_row_crystal,
                        verify_commutation, verify_dual_implementation)
 from .skewhowe import verify_agreement, verify_corollary, verify_counting
@@ -79,10 +80,6 @@ def _oracle(shape, rank: int) -> Report:
                   len(elements), "pass")
 
 
-def _count(enumerate_):
-    return lambda shape, rank: sum(1 for _ in enumerate_(shape, rank))
-
-
 def _has_a_node(n: int, m: int, N: int) -> bool:
     return n * m >= 2
 
@@ -132,11 +129,11 @@ SUITES = {
     "relations tableau": partial(
         _shape_rows, "cactus+braid",
         partial(on_tableaux, (verify_cactus_relations, verify_reduced_braid)),
-        _count(enumerate_b_lambda), tableau_shapes()),
+        weyl_dimension, tableau_shapes()),
     "relations matrix": partial(_matrix_rows, "cactus+braid matrix",
                                 partial(on_matrices, RELATIONS), matrix_sizes(9)),
     "bk": partial(_shape_rows, "bk", check_cgp_homomorphism,
-                  _count(patterns_with_top), tableau_shapes()),
+                  weyl_dimension, tableau_shapes()),
     "oracle": partial(_shape_rows, "oracle", _oracle, lambda shape, rank: 1,
                       tableau_shapes()),
     "counting": partial(_matrix_rows, "counting", verify_counting,
@@ -147,7 +144,7 @@ SUITES = {
     "xi tableau": partial(
         _shape_rows, "xi tableau",
         partial(on_tableaux, (verify_involution_properties,)),
-        _count(enumerate_b_lambda),
+        weyl_dimension,
         ((3, (2, 1)), (3, (3, 1)), (4, (2, 1, 1)), (4, (3, 2)))),
 }
 
@@ -168,12 +165,13 @@ def target_rows(target: str, n: int, m: int, N: int | None) -> list:
 def bk_rows(shape, rank: int, spelling: str) -> list:
     """The row of `verify bk`, labelled with the caller's shape spelling and
     costing its pattern count, as in `verify all`."""
-    return [(f"bk rank={rank} shape={spelling}",
-             _count(patterns_with_top)(shape, rank),
+    return [(f"bk rank={rank} shape={spelling}", weyl_dimension(shape, rank),
              partial(check_cgp_homomorphism, shape, rank))]
 
 
-def model_rows(target: str, model: str, crystal, elements) -> list:
-    """The row of `verify <target>` on a selected (crystal, elements)."""
-    return [(f"{target} {model}", len(elements),
+def model_rows(target: str, model: str, crystal, size: int, elements) -> list:
+    """The row of `verify <target>` on a selected crystal, costing the
+    `size` of its selection; `elements` is that selection, or None when
+    the row is over budget and will be refused."""
+    return [(f"{target} {model}", size,
              partial(MODEL_VERIFIERS[target], crystal, elements))]

@@ -111,8 +111,11 @@ class TensorCrystal(Crystal):
 
 @lru_cache(maxsize=None)
 def tensor_crystal(*factors: Crystal) -> TensorCrystal:
-    """Shared instance per factor sequence, so involution caches accumulate
-    across sweeps."""
+    """One shared instance per factor sequence.  No verifier sweep
+    transports an involution on a tensor crystal: the sharing serves
+    `matrices.row_structure`, which every matrix profile reads, and
+    `cactus.outer_act`, whose block involutions keep their edge records in
+    the shared block model between calls."""
     return TensorCrystal(tuple(factors))
 
 

@@ -4,11 +4,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from glcrystals.base import (DynkinInterval, format_partition, intervals,
-                             parse_partition, partition, partitions_in_box,
-                             perm_compose, perm_identity, schur_bruteforce,
-                             ssyt_fillings, theta_interval, theta_on_nodes,
-                             transpose, weyl_longest)
+from glcrystals.base import (DynkinInterval, content, format_partition,
+                             intervals, parse_partition, partition,
+                             partitions_in_box, perm_compose, perm_identity,
+                             schur_bruteforce, ssyt_fillings, theta_interval,
+                             theta_on_nodes, transpose, weyl_dimension,
+                             weyl_longest)
 
 
 def all_partitions(max_size):
@@ -147,6 +148,24 @@ def test_schur_symmetry():
                     for sigma in permutations(range(rank)):
                         permuted = tuple(w[sigma[i]] for i in range(rank))
                         assert counts[permuted] == c
+
+
+def test_branching_oracle_and_weyl_formula_match_the_fillings():
+    # the oracle counts patterns, not fillings: it must give the contents
+    # of the fillings on every shape of at most 6 boxes, including shapes
+    # longer than the rank and rank 0, and Weyl's formula their number
+    for lam in all_partitions(6):
+        for rank in range(6):
+            fillings = list(ssyt_fillings(lam, rank))
+            assert schur_bruteforce(lam, rank) == Counter(
+                content(rows, rank) for rows in fillings), (lam, rank)
+            assert weyl_dimension(lam, rank) == len(fillings), (lam, rank)
+
+
+def test_weyl_formula_of_a_staircase():
+    # 2^(n choose 2) patterns of rank n with top row (n-1, ..., 1, 0)
+    for n in range(1, 9):
+        assert weyl_dimension(range(n - 1, 0, -1), n) == 2 ** (n * (n - 1) // 2)
 
 
 def test_fillings_are_semistandard():

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,61 @@ def test_explicit_instance_over_budget_is_an_error(capsys):
         assert run(argv + ["--force"]) == 0
         out = capsys.readouterr().out
     assert "PASS bk rank=4 shape=3,2,1 (checked=384)" in out
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["verify", "bk"], "bk rank=8 shape=7,6,5,4,3,2,1"),
+    (["verify", "xi", "--model", "tableau"], "xi tableau"),
+    (["verify", "xi", "--model", "gt"], "xi gt"),
+], ids=["bk", "xi-tableau", "xi-gt"])
+def test_over_budget_selection_is_refused_before_it_is_enumerated(capsys,
+                                                                  argv, label):
+    # 2^28 patterns: the cost is read off Weyl's formula, not counted
+    start = time.perf_counter()
+    assert run(argv + ["--rank", "8", "--shape", "7,6,5,4,3,2,1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"usage error: {label} enumerates 268435456 > budget 1000000; "
+        f"raise --budget or pass --force\n")
+
+
+def test_tensor_and_matrix_selections_cost_their_size(capsys):
+    for argv, label, size in (
+            (["--model", "tensor", "--rank", "3", "--shapes", "2,1;1"],
+             "xi tensor", 24),
+            (["--model", "matrix", "--n", "3", "--m", "3", "--N", "4"],
+             "xi matrix", 126)):
+        assert run(["verify", "xi", *argv, "--budget", str(size - 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {label} enumerates {size} > budget {size - 1}; "
+            f"raise --budget or pass --force\n")
+        assert run(["verify", "xi", *argv, "--budget", str(size)]) == 0
+        assert capsys.readouterr().out.endswith("1/1 passed\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "xi", "--model", "matrix", "--n", "2", "--m", "2"],
+     "matrix model needs --n, --m and --N"),
+    (["graph", "--model", "matrix", "--m", "2", "--N", "1"],
+     "matrix model needs --n, --m and --N"),
+    (ACT_TABLEAU + ["--mode", "outer", "--in", "t.json"],
+     "tableaux carry only the inner action"),
+    (["act", "--model", "gt", "--word", "s[1,2]", "--mode", "outer",
+      "--in", "x.json"], "patterns carry only the inner action"),
+    (["gt", "--in", "x.json", "--moves", "t1 x2"],
+     "bad move token 'x2'; use t<j> or q<i>"),
+    (["gt", "--in", "x.json", "--moves", "qq"],
+     "bad move token 'qq'; use t<j> or q<i>"),
+], ids=["verify-matrix-no-N", "graph-matrix-no-n", "act-tableau-outer",
+        "act-gt-outer", "gt-bad-kind", "gt-bad-index"])
+def test_usage_errors_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
+                                         message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "x.json", X_JSON)
+    write(tmp_path, "t.json", {"rank": 3, "rows": [[1, 1, 2], [2, 3]]})
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
 
 def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(tmp_path,

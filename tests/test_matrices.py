@@ -361,6 +361,31 @@ def _cphi_mirrored(M, j):
     return max(0, max(col_phi_profile(tuple(row[::-1] for row in M), j)))
 
 
+def _re_across_rows(M, i):
+    """Re that puts the raised one in column i of the next row down
+    (cyclically), so it moves a one across rows and the row sums change."""
+    out = Re(M, i)
+    if out is None:
+        return None
+    k = next(r for r, (old, new) in enumerate(zip(M, out)) if old != new)
+    below = (k + 1) % len(M)
+    return moved(out, ((k, i - 1, 0), (below, i - 1, 1))) \
+        if M[below][i - 1] == 0 else out
+
+
+def _cf_across_columns(M, j):
+    """Cf that puts the lowered one in row j + 1 of the next column
+    (cyclically), so it moves a one across columns and the column sums
+    change."""
+    out = Cf(M, j)
+    if out is None:
+        return None
+    c = next(c for c in range(len(M[0])) if M[j][c] != out[j][c])
+    right = (c + 1) % len(M[0])
+    return moved(out, ((j, c, 0), (j, right, 1))) \
+        if M[j][right] == 0 else out
+
+
 SEEDED_FAULTS = (
     ("Ce", _ce_leftmost, (275, "Rf/Ce fail at (1,1) at 100101100"),
      (407, "Ce_2 differs at 100010101")),
@@ -370,6 +395,12 @@ SEEDED_FAULTS = (
      (64, "R eps/phi at 2 differ at 110101000")),
     ("Cphi", _cphi_mirrored, (37, "R op at 2 moved C eps/phi at 1 at 110110000"),
      (64, "C eps/phi at 1 differ at 110101000")),
+    ("Re", _re_across_rows,
+     (6, "R op at 1 moved the column-structure weight at 111010000"),
+     (9, "Re_1 differs at 111010000")),
+    ("Cf", _cf_across_columns,
+     (3, "C op at 2 moved the row-structure weight at 111100000"),
+     (8, "Cf_2 differs at 111100000")),
 )
 
 

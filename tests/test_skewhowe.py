@@ -24,7 +24,7 @@ from glcrystals.skewhowe import (DualityPair, cf_max, doubly_extreme_shape,
                                  verify_agreement, verify_corollary,
                                  verify_counting)
 from glcrystals.tableaux import evacuate, shape_of, ssyt
-from test_matrices import all_small_dims, moved
+from test_matrices import _ce_leftmost, all_small_dims, moved
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +523,48 @@ def test_block_checks_fail_on_a_consistent_model_that_is_not_block_local(
     assert [rep.ok for rep in reports] == [True] * 3 + [False] * 4 + [True] * 3
     assert (reports[3].checked, reports[3].witness) == (
         11, "s[1,3] outer != inner at 110001000")
+
+
+def _reversed(M):
+    return None if M is None else tuple([row[::-1] for row in M])
+
+
+class ColumnReversedColCrystal(matrices.MatrixColCrystal):
+    """The C model conjugated by reversing every row: a crystal again, with
+    the same weights, but not the one the quarter turn carries to the R
+    model."""
+
+    def e(self, j, M):
+        return _reversed(matrices.Ce(_reversed(M), j))
+
+    def f(self, j, M):
+        return _reversed(matrices.Cf(_reversed(M), j))
+
+    def eps(self, j, M):
+        return matrices.Ceps(_reversed(M), j)
+
+    def phi(self, j, M):
+        return matrices.Cphi(_reversed(M), j)
+
+
+def test_corollary_fails_on_each_seeded_fault(monkeypatch):
+    assert verify_corollary(3, 2, 3).ok
+    # the rotation steps read skewhowe.Ce; a flipped tie-break breaks them
+    monkeypatch.setattr(skewhowe, "Ce", _ce_leftmost)
+    rep = verify_corollary(3, 2, 3)
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 43, "rotation does not intertwine Ce/Re at 1, 010101")
+    monkeypatch.undo()
+    # the involutions read the block models, here 2 x 3; the conjugated one
+    # leaves the rotation steps passing and fails the inner comparison
+    monkeypatch.setattr(skewhowe, "matrix_col_crystal",
+                        lru_cache(maxsize=None)(ColumnReversedColCrystal))
+    assert core.check_crystal_axioms(
+        ColumnReversedColCrystal(2, 3),
+        [M for N in range(7) for M in bit_matrices(2, 3, N)]).ok
+    rep = verify_corollary(3, 2, 3)
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 12, "rotation does not intertwine inner s[1,2] at 110001")
 
 
 def test_cold_agreement_sweep_walks_each_block_component_once(monkeypatch):

@@ -8,7 +8,8 @@ from math import comb
 
 import pytest
 
-from glcrystals import cactus, core, gt, skewhowe, suites
+from glcrystals import (base, cactus, core, goldens, gt, skewhowe, suites,
+                        tableaux)
 from glcrystals.base import pairing
 from glcrystals.matrices import bit_matrices, matrix_col_crystal
 from glcrystals.suites import SUITES, suite_rows
@@ -100,6 +101,24 @@ def test_suite_fails_on_a_seeded_fault(monkeypatch, suite):
 
 
 
+def _content_reads_the_rank_as_one(rows, rank):
+    counts = [0] * rank
+    for row in rows:
+        for v in row:
+            counts[(1 if v == rank else v) - 1] += 1
+    return tuple(counts)
+
+
+def test_oracle_fails_when_content_is_broken_at_its_source(monkeypatch):
+    # the Schur oracle counts patterns by the branching rule, so a content
+    # fault shared by every reader of `content` reaches the crystal side
+    # only; rows of the empty shape, with no entry at all, still pass
+    monkeypatch.setattr(base, "content", _content_reads_the_rank_as_one)
+    monkeypatch.setattr(tableaux, "content", _content_reads_the_rank_as_one)
+    reports = [thunk() for _, _, thunk in SUITES["oracle"]()]
+    passed = [rep.instance["shape"] for rep in reports if rep.ok]
+    assert (len(reports), passed) == (66, ["", "", ""])
+
 # verifier call -> (module, attribute, fault(real, *args), first failure);
 # each fault acts as the identity past the first interval only, so the
 # checked count and witness pin the order in which the verifier walks the
@@ -145,3 +164,36 @@ def test_verifiers_walk_intervals_in_order(monkeypatch, name):
                         partial(fault, getattr(module, attribute)))
     rep = verify()
     assert (rep.checked, rep.witness) == first_failure
+
+
+# golden -> (library name on glcrystals.goldens, fault, witness); the
+# predicates read those names at call time, so only the facts that call the
+# patched name fail
+GOLDEN_FAULTS = {
+    "gt-bijection": ("gt_to_tableau", lambda x: (),
+                     "pattern does not map to the recorded tableau"),
+    "gt-q2-chain": ("bk_move", lambda x, j: x,
+                    "second toggle wrong; third toggle wrong"),
+    "gt-inner-match": ("inner_act", lambda w, crystal, b: b,
+                       "inner generator on the tableau is wrong; q_2 on the "
+                       "pattern does not match the inner action"),
+    "skew-howe-pair": ("re_max", lambda M: M,
+                       "raising to the R-highest matrix is wrong"),
+    "morphism-square": ("Ce", lambda M, j: M,
+                        "raising the matrix is wrong; square does not commute"),
+    "cactus-agreement": ("outer_on_rows", lambda M, w: M,
+                         "outer action on rows is wrong"),
+    "fundamental-reversal": ("schuetzenberger", lambda crystal, b, nodes: b,
+                             "full involution is not reversal"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FAULTS))
+def test_golden_fails_on_a_seeded_fault(monkeypatch, name):
+    run = dict(goldens.GOLDENS)[name]
+    attribute, fault, witness = GOLDEN_FAULTS[name]
+    monkeypatch.setattr(goldens, attribute, fault)
+    rep = run()
+    assert (rep.status, rep.witness) == ("fail", witness)
+    monkeypatch.undo()
+    assert run().ok
