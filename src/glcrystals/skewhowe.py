@@ -22,6 +22,7 @@ action on the column word is the row action on the quarter turn.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .base import (DynkinInterval, Partition, intervals, partitions_in_box,
@@ -306,9 +307,17 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
 # verifiers therefore compare the two sides on the block alone, through
 # `schuetzenberger` on block models that the `lru_cache` factories share
 # across n, m, N and p: a sweep walks each block component once, not once
-# per copy of it in a larger matrix.  They look the factories and the
-# block step's transport seam up at call time, and their witnesses print
-# the whole matrix.
+# per copy of it in a larger matrix.  Both sides are functions of the
+# block, whose shape fixes k and the block model, so each call compares
+# each distinct block once, through a `functools.cache` made inside the
+# call and keyed on the block alone; the cache is freed when the call
+# returns.  `checked` still counts every (matrix, generator) pair, and the
+# first failing pair is the first that meets a failing block, so the
+# report is the one the plain loop gives.  The corollary's rotation steps
+# test the C and R kernels on whole matrices and stay one check per
+# matrix, unmemoized.  The verifiers look the factories and the block
+# step's transport seam up at call time, and their witnesses print the
+# whole matrix.
 
 def _blocks(rank: int, block_model) -> list:
     """(s[p,q], lo, hi, model, nodes) for each rank-`rank` generator: the
@@ -325,7 +334,9 @@ def _blocks(rank: int, block_model) -> list:
 def verify_agreement(n: int, m: int, N: int) -> Report:
     """For every matrix and every rank-n generator, the outer action on the
     row word equals the inner action through the rank-n structure, both
-    read off the generator's block of rows.
+    read off the generator's block of rows.  Each distinct block is
+    compared once per call; `checked` counts every (matrix, generator)
+    pair.
 
     With n = 1 there is no generator, and an instance with matrices passes
     with checked=0 (`verify` leaves it out).
@@ -335,13 +346,19 @@ def verify_agreement(n: int, m: int, N: int) -> Report:
     """
     instance = matrix_instance(n, m, N)
     gens = _blocks(n, lambda k: matrix_col_crystal(k, m))
+    models = {hi - lo: (model, nodes) for _, lo, hi, model, nodes in gens}
+
+    @cache
+    def agrees(B):
+        model, nodes = models[len(B)]
+        return _turn_rows(B, 0, len(B), _row_xi_by_transport) == \
+            schuetzenberger(model, B, nodes)
+
     checked = 0
     for M in bit_matrices(n, m, N):
-        for g, lo, hi, model, nodes in gens:
+        for g, lo, hi, _, _ in gens:
             checked += 1
-            B = M[lo:hi]
-            if _turn_rows(B, 0, hi - lo, _row_xi_by_transport) != \
-                    schuetzenberger(model, B, nodes):
+            if not agrees(M[lo:hi]):
                 return Report("agreement", instance, checked, "fail",
                               f"{g} outer != inner at {_flat(M)}")
     return Report("agreement", instance, checked, "pass")
@@ -354,7 +371,10 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
     reflected interval equals the inner action through the rank-m structure.
     The involutions act on the generator's block alone: rows p..q of an
     m x n matrix in the C model of those q-p+1 rows, and columns p..q of
-    an n x m matrix in the R model of those q-p+1 columns.
+    an n x m matrix in the R model of those q-p+1 columns.  Each distinct
+    block is compared once per call for each of the two; `checked` counts
+    every (matrix, generator) pair, and the rotation steps of the C and R
+    operators are checked on every whole matrix.
 
     With m = 1 there is no node or generator, and an instance with matrices
     passes with checked=0 (`verify` leaves it out).
@@ -367,8 +387,28 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
     # columns lo..hi-1 of its quarter turn R with the R operators
     c_blocks = _blocks(m, lambda k: matrix_col_crystal(k, n))
     r_blocks = _blocks(m, lambda k: matrix_row_crystal(n, k))
+    models = {hi - lo: (c_model, r_model, nodes)
+              for (_, lo, hi, c_model, nodes), (_, _, _, r_model, _) in
+              zip(c_blocks, r_blocks)}
     steps = [(i, cop, rop, tag) for i in range(1, m)
              for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf"))]
+
+    # B = M[lo:hi] fixes columns lo..hi-1 of R, which are col_word(B)
+    @cache
+    def turn_intertwines(B):
+        c_model, r_model, nodes = models[len(B)]
+        return col_word(schuetzenberger(c_model, B, nodes)) == \
+            schuetzenberger(r_model, col_word(B), nodes)
+
+    # B is a block of columns of an n x m matrix
+    @cache
+    def col_agrees(B):
+        _, r_model, nodes = models[len(B[0])]
+        turned = col_word(B)
+        return matrix_from_col_word(
+            _turn_rows(turned, 0, len(turned), _row_xi_by_transport)) == \
+            schuetzenberger(r_model, B, nodes)
+
     checked = 0
     for M in bit_matrices(m, n, N):
         R = col_word(M)
@@ -381,24 +421,18 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine {tag} at {i}, "
                               f"{_flat(M)}")
-        for (g, lo, hi, c_model, nodes), (_, _, _, r_model, _) in \
-                zip(c_blocks, r_blocks):
+        for g, lo, hi, _, _ in c_blocks:
             checked += 1
-            if col_word(schuetzenberger(c_model, M[lo:hi], nodes)) != \
-                    schuetzenberger(r_model, tuple([row[lo:hi] for row in R]),
-                                    nodes):
+            if not turn_intertwines(M[lo:hi]):
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine inner {g} at {_flat(M)}")
     # the reflected interval s[m+1-q, m+1-p] of the column word turns the
     # rows m-q..m-p of the quarter turn, which are the quarter turn of the
     # block of columns p-1..q-1
     for N_mat in bit_matrices(n, m, N):
-        for g, lo, hi, model, nodes in r_blocks:
+        for g, lo, hi, _, _ in r_blocks:
             checked += 1
-            B = tuple([row[lo:hi] for row in N_mat])
-            outer = matrix_from_col_word(
-                _turn_rows(col_word(B), 0, hi - lo, _row_xi_by_transport))
-            if outer != schuetzenberger(model, B, nodes):
+            if not col_agrees(tuple([row[lo:hi] for row in N_mat])):
                 reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
                 return Report("corollary", instance, checked, "fail",
                               f"{reflected} outer on columns != "

@@ -71,13 +71,15 @@ def on_tableaux(checks, shape, rank: int) -> Report:
 
 
 def _oracle(shape, rank: int) -> Report:
+    """The character of B(shape) against the brute-force Schur polynomial;
+    pass or fail, the report counts every tableau it compared."""
     elements = enumerate_b_lambda(shape, rank, cross_check=True)
+    instance = {"rank": rank, "shape": format_partition(shape)}
     if character(tableau_crystal(rank), elements) != schur_bruteforce(shape, rank):
-        return Report("oracle", {"rank": rank}, 1, "fail",
+        return Report("oracle", instance, len(elements), "fail",
                       f"character differs from brute force at "
-                      f"{format_partition(shape)}")
-    return Report("oracle", {"rank": rank, "shape": format_partition(shape)},
-                  len(elements), "pass")
+                      f"{instance['shape']}")
+    return Report("oracle", instance, len(elements), "pass")
 
 
 def _has_a_node(n: int, m: int, N: int) -> bool:

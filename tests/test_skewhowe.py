@@ -3,14 +3,14 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
 from glcrystals import core, matrices, skewhowe
-from glcrystals.base import transpose
+from glcrystals.base import DynkinInterval, intervals, transpose
 from glcrystals.cactus import CactusWord, outer_act, word
-from glcrystals.core import is_morphism, schuetzenberger
+from glcrystals.core import Report, is_morphism, schuetzenberger
 from glcrystals.goldens import (LAMBDA_A, MATRIX_A, MATRIX_A_P, MATRIX_A_Q,
                                 TABLEAU_P, TABLEAU_Q)
 from glcrystals.matrices import (Cphi, Reps, bit_matrices, bit_matrix,
@@ -23,8 +23,10 @@ from glcrystals.skewhowe import (DualityPair, cf_max, doubly_extreme_shape,
                                  phi_map, psi_inv, psi_map, re_max,
                                  verify_agreement, verify_corollary,
                                  verify_counting)
+from glcrystals.suites import matrix_sizes
 from glcrystals.tableaux import evacuate, shape_of, ssyt
 from test_matrices import _ce_leftmost, all_small_dims, moved
+from test_suites import INTERVAL_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +591,132 @@ def test_cold_agreement_sweep_walks_each_block_component_once(monkeypatch):
         assert verify_agreement(5, 2, N).ok
     assert walks - before == Counter({("MatrixColCrystal", 5, 2): 56,
                                       ("MatrixRowCrystal", 5, 2): 462})
+
+
+# ---------------------------------------------------------------------------
+# the per-call block memo against the plain per-(matrix, generator) loops
+
+def plain_agreement(n, m, N):
+    """`verify_agreement` with no memo: both sides of every (matrix,
+    generator) pair are computed."""
+    instance = matrices.matrix_instance(n, m, N)
+    gens = skewhowe._blocks(n, lambda k: matrix_col_crystal(k, m))
+    checked = 0
+    for M in bit_matrices(n, m, N):
+        for g, lo, hi, model, nodes in gens:
+            checked += 1
+            B = M[lo:hi]
+            if skewhowe._turn_rows(B, 0, hi - lo,
+                                   skewhowe._row_xi_by_transport) != \
+                    schuetzenberger(model, B, nodes):
+                return Report("agreement", instance, checked, "fail",
+                              f"{g} outer != inner at {matrices._flat(M)}")
+    return Report("agreement", instance, checked, "pass")
+
+
+def plain_corollary(n, m, N):
+    """`verify_corollary` with no memo: both sides of every (matrix,
+    generator) pair are computed."""
+    instance = matrices.matrix_instance(n, m, N)
+    c_blocks = skewhowe._blocks(m, lambda k: matrix_col_crystal(k, n))
+    r_blocks = skewhowe._blocks(m, lambda k: matrix_row_crystal(n, k))
+    steps = [(i, cop, rop, tag) for i in range(1, m)
+             for cop, rop, tag in ((skewhowe.Ce, skewhowe.Re, "Ce/Re"),
+                                   (skewhowe.Cf, skewhowe.Rf, "Cf/Rf"))]
+    checked = 0
+    for M in bit_matrices(m, n, N):
+        R = col_word(M)
+        for i, cop, rop, tag in steps:
+            checked += 1
+            lhs = cop(M, i)
+            rhs = rop(R, i)
+            if (lhs is None) != (rhs is None) or \
+                    (lhs is not None and col_word(lhs) != rhs):
+                return Report("corollary", instance, checked, "fail",
+                              f"rotation does not intertwine {tag} at {i}, "
+                              f"{matrices._flat(M)}")
+        for (g, lo, hi, c_model, nodes), (_, _, _, r_model, _) in \
+                zip(c_blocks, r_blocks):
+            checked += 1
+            if col_word(schuetzenberger(c_model, M[lo:hi], nodes)) != \
+                    schuetzenberger(r_model, tuple([row[lo:hi] for row in R]),
+                                    nodes):
+                return Report("corollary", instance, checked, "fail",
+                              f"rotation does not intertwine inner {g} at "
+                              f"{matrices._flat(M)}")
+    for N_mat in bit_matrices(n, m, N):
+        for g, lo, hi, model, nodes in r_blocks:
+            checked += 1
+            B = tuple([row[lo:hi] for row in N_mat])
+            outer = matrix_from_col_word(skewhowe._turn_rows(
+                col_word(B), 0, hi - lo, skewhowe._row_xi_by_transport))
+            if outer != schuetzenberger(model, B, nodes):
+                reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
+                return Report("corollary", instance, checked, "fail",
+                              f"{reflected} outer on columns != "
+                              f"inner {g} at {matrices._flat(N_mat)}")
+    return Report("corollary", instance, checked, "pass")
+
+
+# the half turn of the block ((0, 1), (1, 1), (1, 1)): in 7 of the 8
+# instances it fails, its first check comes after two thirds of the
+# instance's checks
+LATE_BLOCK = ((1, 1), (1, 1), (1, 0))
+
+# fault on `_row_xi_by_transport` (real, B) -> number of instances with
+# nm <= 8 on which the agreement or the corollary fails
+BLOCK_FAULTS = {
+    "honest": (None, 0),
+    "identity past the first interval": (INTERVAL_ORDER["agreement"][3], 24),
+    "one late block": (lambda real, B: B if B == LATE_BLOCK else real(B), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_FAULTS))
+def test_block_memo_reports_as_the_plain_loops(monkeypatch, name):
+    fault, failing = BLOCK_FAULTS[name]
+    if fault is not None:
+        monkeypatch.setattr(skewhowe, "_row_xi_by_transport",
+                            partial(fault, skewhowe._row_xi_by_transport))
+    failed = 0
+    for n, m, N in matrix_sizes(8):
+        for verify, plain in ((verify_agreement, plain_agreement),
+                              (verify_corollary, plain_corollary)):
+            rep = verify(n, m, N)
+            assert rep == plain(n, m, N), (verify.__name__, n, m, N)
+            failed += not rep.ok
+    assert failed == failing
+
+
+def test_block_memo_lives_for_one_call(monkeypatch):
+    # the fault breaks the block that the last check of the first call
+    # compares; a memo kept from that call would pass the second one
+    assert verify_agreement(3, 3, 4).ok
+    turned_last = ((1, 1, 1), (1, 0, 0), (0, 0, 0))
+    real = skewhowe._row_xi_by_transport
+    monkeypatch.setattr(skewhowe, "_row_xi_by_transport",
+                        lambda B: B if B == turned_last else real(B))
+    rep = verify_agreement(3, 3, 4)
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 377, "s[1,3] outer != inner at 000001111")
+
+
+def test_agreement_transports_each_distinct_block_once_per_call(monkeypatch):
+    calls = Counter()
+    real = skewhowe._row_xi_by_transport
+
+    def counted(B):
+        calls[B] += 1
+        return real(B)
+
+    monkeypatch.setattr(skewhowe, "_row_xi_by_transport", counted)
+    blocks = {M[g.p - 1:g.q] for M in bit_matrices(4, 2, 4)
+              for g in intervals(4)}
+    assert verify_agreement(4, 2, 4).checked == 420
+    assert (len(calls), set(calls.values())) == (len(blocks), {1})
+    assert len(blocks) == 136
+    verify_agreement(4, 2, 4)
+    assert set(calls.values()) == {2}
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,17 @@ def test_suite_fails_on_a_seeded_fault(monkeypatch, suite):
         assert _row(other, other_label)().ok, other
 
 
+def test_oracle_failure_reports_the_instance_and_count_of_a_pass(monkeypatch):
+    thunk = _row("oracle", "oracle rank=3 shape=2,1")
+    instance = {"rank": 3, "shape": "2,1"}
+    rep = thunk()
+    assert (rep.status, rep.instance, rep.checked) == ("pass", instance, 8)
+    _, module, attribute, fault = FAULTS["oracle"]
+    monkeypatch.setattr(module, attribute, fault)
+    rep = thunk()
+    assert (rep.status, rep.instance, rep.checked, rep.witness) == (
+        "fail", instance, 8, "character differs from brute force at 2,1")
+
 
 def _content_reads_the_rank_as_one(rows, rank):
     counts = [0] * rank
