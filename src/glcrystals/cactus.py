@@ -17,7 +17,8 @@ from functools import cache
 
 from .base import (DynkinInterval, Permutation, intervals, perm_compose,
                    perm_identity, theta_interval, weyl_longest)
-from .core import (Crystal, Report, kashiwara_reflection, schuetzenberger)
+from .core import (Crystal, Report, kashiwara_reflection, run_checks,
+                   schuetzenberger)
 from .tensor import TensorCrystal, tensor_crystal
 
 
@@ -137,19 +138,17 @@ def verify_cactus_relations(crystal: Crystal, elements) -> Report:
             elif g.q < h.p or h.q < g.p:
                 pairs.append(((g.nodes, h.nodes), (h.nodes, g.nodes),
                               f"disjoint generators {g},{h} do not commute at "))
-    checked = 0
-    for b in elements:
-        for g, square in squares:
-            checked += 1
-            if _act_word(square, crystal, b) != b:
-                return Report("cactus-relations", instance, checked, "fail",
-                              f"{g} not an involution at {crystal.canon(b)}")
-        for lhs, rhs, witness in pairs:
-            checked += 1
-            if _act_word(lhs, crystal, b) != _act_word(rhs, crystal, b):
-                return Report("cactus-relations", instance, checked, "fail",
-                              witness + crystal.canon(b))
-    return Report("cactus-relations", instance, checked, "pass")
+
+    def witnesses():
+        for b in elements:
+            for g, square in squares:
+                yield (None if _act_word(square, crystal, b) == b
+                       else f"{g} not an involution at {crystal.canon(b)}")
+            for lhs, rhs, witness in pairs:
+                yield (None if _act_word(lhs, crystal, b) ==
+                       _act_word(rhs, crystal, b) else witness + crystal.canon(b))
+
+    return run_checks("cactus-relations", instance, witnesses())
 
 
 def verify_reduced_braid(crystal: Crystal, elements) -> Report:
@@ -160,32 +159,27 @@ def verify_reduced_braid(crystal: Crystal, elements) -> Report:
     Each (node, element) pair is reflected once per call through a
     `functools.cache` made inside the call, the first time a check reads
     it; the cache is freed when the call returns."""
-    instance = {"rank": crystal.rank, "size": len(elements)}
     k = crystal.rank
-    checked = 0
 
     @cache
     def refl(i, b):
         return kashiwara_reflection(crystal, b, i)
 
-    for b in elements:
-        for i in range(1, k):
-            checked += 1
-            if refl(i, refl(i, b)) != b:
-                return Report("braid", instance, checked, "fail",
-                              f"s_{i} squared != id at {crystal.canon(b)}")
-        for i in range(1, k - 1):
-            checked += 1
-            x = b
-            for _ in range(3):
-                x = refl(i + 1, refl(i, x))
-            if x != b:
-                return Report("braid", instance, checked, "fail",
-                              f"(s_{i} s_{i + 1})^3 != id at {crystal.canon(b)}")
-        for i in range(1, k):
-            for j in range(i + 2, k):
-                checked += 1
-                if refl(j, refl(i, b)) != refl(i, refl(j, b)):
-                    return Report("braid", instance, checked, "fail",
-                                  f"s_{i}, s_{j} do not commute at {crystal.canon(b)}")
-    return Report("braid", instance, checked, "pass")
+    def witnesses():
+        for b in elements:
+            for i in range(1, k):
+                yield (None if refl(i, refl(i, b)) == b
+                       else f"s_{i} squared != id at {crystal.canon(b)}")
+            for i in range(1, k - 1):
+                x = b
+                for _ in range(3):
+                    x = refl(i + 1, refl(i, x))
+                yield (None if x == b
+                       else f"(s_{i} s_{i + 1})^3 != id at {crystal.canon(b)}")
+            for i in range(1, k):
+                for j in range(i + 2, k):
+                    yield (None if refl(j, refl(i, b)) == refl(i, refl(j, b))
+                           else f"s_{i}, s_{j} do not commute at {crystal.canon(b)}")
+
+    return run_checks("braid", {"rank": k, "size": len(elements)},
+                      witnesses())

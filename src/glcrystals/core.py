@@ -118,6 +118,22 @@ class Report:
                 "witness": self.witness}
 
 
+def run_checks(name: str, instance: dict, witnesses) -> Report:
+    """The one reporting rule of the verifiers.
+
+    `witnesses` yields one item per check, in check order: None for a check
+    that passed, or the witness string of one that failed.  The report
+    fails with the first witness and is not read past it, so a check with
+    several conditions may yield the witness of the first that fails and
+    then None; `checked` is the number of items read.
+    """
+    checked = 0
+    for checked, witness in enumerate(witnesses, 1):
+        if witness is not None:
+            return Report(name, instance, checked, "fail", witness)
+    return Report(name, instance, checked, "pass")
+
+
 def _walk(crystal: Crystal, b, nodes: tuple[int, ...]):
     """One BFS from b over the e/f edges coloured by `nodes`.
 
@@ -343,7 +359,8 @@ def kashiwara_reflection(crystal: Crystal, b, i: int):
 
 
 def check_crystal_axioms(crystal: Crystal, elements) -> Report:
-    """Verify the defining axioms on a finite element set:
+    """Verify the defining axioms on a finite element set, one check per
+    (element, node):
 
     - f_i(b) = c exactly when e_i(c) = b,
     - weights move by the simple root,
@@ -351,37 +368,35 @@ def check_crystal_axioms(crystal: Crystal, elements) -> Report:
     - phi - eps equals the coroot pairing of the weight.
     """
     nodes = crystal.nodes()
-    instance = {"rank": crystal.rank, "size": len(elements)}
-    checked = 0
-    for b in elements:
-        wb = crystal.weight(b)
-        for i in nodes:
-            checked += 1
-            c = crystal.f(i, b)
-            if c is not None:
-                if crystal.e(i, c) != b:
-                    return Report("axioms", instance, checked, "fail",
-                                  f"e_{i} f_{i} != id at {crystal.canon(b)}")
-                if crystal.weight(c) != add_root(wb, i, -1):
-                    return Report("axioms", instance, checked, "fail",
-                                  f"f_{i} weight step wrong at {crystal.canon(b)}")
-            c = crystal.e(i, b)
-            if c is not None:
-                if crystal.f(i, c) != b:
-                    return Report("axioms", instance, checked, "fail",
-                                  f"f_{i} e_{i} != id at {crystal.canon(b)}")
-                if crystal.weight(c) != add_root(wb, i, +1):
-                    return Report("axioms", instance, checked, "fail",
-                                  f"e_{i} weight step wrong at {crystal.canon(b)}")
-            ep, ph = crystal.eps(i, b), crystal.phi(i, b)
-            if ep != Crystal.eps(crystal, i, b) or ph != Crystal.phi(crystal, i, b):
-                return Report("axioms", instance, checked, "fail",
-                              f"eps/phi formula disagrees with iteration at "
-                              f"{crystal.canon(b)}, node {i}")
-            if ph - ep != pairing(wb, i):
-                return Report("axioms", instance, checked, "fail",
-                              f"phi - eps != <wt, coroot> at {crystal.canon(b)}, node {i}")
-    return Report("axioms", instance, checked, "pass")
+
+    def witnesses():
+        for b in elements:
+            wb = crystal.weight(b)
+            for i in nodes:
+                c = crystal.f(i, b)
+                if c is not None:
+                    if crystal.e(i, c) != b:
+                        yield f"e_{i} f_{i} != id at {crystal.canon(b)}"
+                    if crystal.weight(c) != add_root(wb, i, -1):
+                        yield f"f_{i} weight step wrong at {crystal.canon(b)}"
+                c = crystal.e(i, b)
+                if c is not None:
+                    if crystal.f(i, c) != b:
+                        yield f"f_{i} e_{i} != id at {crystal.canon(b)}"
+                    if crystal.weight(c) != add_root(wb, i, +1):
+                        yield f"e_{i} weight step wrong at {crystal.canon(b)}"
+                ep, ph = crystal.eps(i, b), crystal.phi(i, b)
+                if ep != Crystal.eps(crystal, i, b) or \
+                        ph != Crystal.phi(crystal, i, b):
+                    yield (f"eps/phi formula disagrees with iteration at "
+                           f"{crystal.canon(b)}, node {i}")
+                if ph - ep != pairing(wb, i):
+                    yield (f"phi - eps != <wt, coroot> at {crystal.canon(b)}, "
+                           f"node {i}")
+                yield None
+
+    return run_checks("axioms", {"rank": crystal.rank, "size": len(elements)},
+                      witnesses())
 
 
 def character(crystal: Crystal, elements) -> Counter:
@@ -390,7 +405,8 @@ def character(crystal: Crystal, elements) -> Counter:
 
 
 def verify_involution_properties(crystal: Crystal, elements) -> Report:
-    """Pointwise involution contract on an element set, for every interval:
+    """Pointwise involution contract on an element set, one check per
+    (interval, element):
 
     - the involution squares to the identity,
     - it swaps e_i with f at the twisted index and reverses the weight
@@ -398,41 +414,40 @@ def verify_involution_properties(crystal: Crystal, elements) -> Report:
     - the componentwise transport agrees with directed path transport under
       both scan orders.
     """
-    instance = {"rank": crystal.rank, "size": len(elements)}
-    checked = 0
-    for g in intervals(crystal.rank):
-        p, q, nodes = g.p, g.q, g.nodes
-        for b in elements:
-            checked += 1
-            xb = schuetzenberger(crystal, b, nodes)
-            if schuetzenberger(crystal, xb, nodes) != b:
-                return Report("involution", instance, checked, "fail",
-                              f"not an involution on {nodes} at {crystal.canon(b)}")
-            wb = list(crystal.weight(b))
-            wb[p - 1:q] = wb[p - 1:q][::-1]
-            if list(crystal.weight(xb)) != wb:
-                return Report("involution", instance, checked, "fail",
-                              f"weight not block-reversed on {nodes} at {crystal.canon(b)}")
-            for i in nodes:
-                ti = theta_on_nodes(nodes, i)
-                lhs = crystal.e(i, xb)
-                down = crystal.f(ti, b)
-                rhs = None if down is None else schuetzenberger(crystal, down, nodes)
-                if lhs != rhs:
-                    return Report("involution", instance, checked, "fail",
-                                  f"e_{i} twist fails on {nodes} at {crystal.canon(b)}")
-                lhs = crystal.f(i, xb)
-                up = crystal.e(ti, b)
-                rhs = None if up is None else schuetzenberger(crystal, up, nodes)
-                if lhs != rhs:
-                    return Report("involution", instance, checked, "fail",
-                                  f"f_{i} twist fails on {nodes} at {crystal.canon(b)}")
-            small = schuetzenberger_by_path(crystal, b, nodes, "smallest")
-            large = schuetzenberger_by_path(crystal, b, nodes, "largest")
-            if small != xb or large != xb:
-                return Report("involution", instance, checked, "fail",
-                              f"path transport disagrees on {nodes} at {crystal.canon(b)}")
-    return Report("involution", instance, checked, "pass")
+    def witnesses():
+        for g in intervals(crystal.rank):
+            p, q, nodes = g.p, g.q, g.nodes
+            for b in elements:
+                xb = schuetzenberger(crystal, b, nodes)
+                if schuetzenberger(crystal, xb, nodes) != b:
+                    yield f"not an involution on {nodes} at {crystal.canon(b)}"
+                wb = list(crystal.weight(b))
+                wb[p - 1:q] = wb[p - 1:q][::-1]
+                if list(crystal.weight(xb)) != wb:
+                    yield (f"weight not block-reversed on {nodes} at "
+                           f"{crystal.canon(b)}")
+                for i in nodes:
+                    ti = theta_on_nodes(nodes, i)
+                    lhs = crystal.e(i, xb)
+                    down = crystal.f(ti, b)
+                    if lhs != (None if down is None else
+                               schuetzenberger(crystal, down, nodes)):
+                        yield f"e_{i} twist fails on {nodes} at {crystal.canon(b)}"
+                    lhs = crystal.f(i, xb)
+                    up = crystal.e(ti, b)
+                    if lhs != (None if up is None else
+                               schuetzenberger(crystal, up, nodes)):
+                        yield f"f_{i} twist fails on {nodes} at {crystal.canon(b)}"
+                small = schuetzenberger_by_path(crystal, b, nodes, "smallest")
+                large = schuetzenberger_by_path(crystal, b, nodes, "largest")
+                if small != xb or large != xb:
+                    yield (f"path transport disagrees on {nodes} at "
+                           f"{crystal.canon(b)}")
+                yield None
+
+    return run_checks("involution",
+                      {"rank": crystal.rank, "size": len(elements)},
+                      witnesses())
 
 
 def verify_local_involution(crystal: Crystal, elements) -> Report:
@@ -441,22 +456,17 @@ def verify_local_involution(crystal: Crystal, elements) -> Report:
     edge transport."""
     if crystal.rank < 2:
         raise ValueError(f"rank {crystal.rank} has no intervals to check")
-    instance = {"rank": crystal.rank, "size": len(elements)}
-    checked = 0
-    for g in intervals(crystal.rank):
-        nodes = g.nodes
-        for b in elements:
-            checked += 1
-            local = crystal.interval_involution(b, nodes)
-            if local != schuetzenberger(crystal, b, nodes):
-                return Report("local-involution", instance, checked, "fail",
-                              f"{g} local route disagrees with transport at "
-                              f"{crystal.canon(b)}")
-    return Report("local-involution", instance, checked, "pass")
+    return run_checks(
+        "local-involution", {"rank": crystal.rank, "size": len(elements)},
+        (None if crystal.interval_involution(b, g.nodes) ==
+         schuetzenberger(crystal, b, g.nodes) else
+         f"{g} local route disagrees with transport at {crystal.canon(b)}"
+         for g in intervals(crystal.rank) for b in elements))
 
 
 def is_morphism(f_map, dom: Crystal, cod: Crystal, elements) -> Report:
-    """Check that an element map is a crystal morphism on `elements`.
+    """Check that an element map is a crystal morphism on `elements`, one
+    check per element with an image.
 
     f_map returns None for the distinguished absent value; conditions apply
     only where the image is present: weights and all eps/phi agree, and the
@@ -465,35 +475,28 @@ def is_morphism(f_map, dom: Crystal, cod: Crystal, elements) -> Report:
     if dom.rank != cod.rank:
         raise ValueError("morphism endpoints must share a rank")
     nodes = dom.nodes()
-    instance = {"rank": dom.rank, "size": len(elements)}
-    checked = 0
-    for b in elements:
-        fb = f_map(b)
-        if fb is None:
-            continue
-        checked += 1
-        if dom.weight(b) != cod.weight(fb):
-            return Report("morphism", instance, checked, "fail",
-                          f"weight not preserved at {dom.canon(b)}")
-        for i in nodes:
-            if dom.eps(i, b) != cod.eps(i, fb) or dom.phi(i, b) != cod.phi(i, fb):
-                return Report("morphism", instance, checked, "fail",
-                              f"eps/phi not preserved at {dom.canon(b)}, node {i}")
-            down = dom.f(i, b)
-            if down is not None:
-                lhs = f_map(down)
-                rhs = cod.f(i, fb)
-                if lhs != rhs:
-                    return Report("morphism", instance, checked, "fail",
-                                  f"f_{i} not intertwined at {dom.canon(b)}")
-            up = dom.e(i, b)
-            if up is not None:
-                lhs = f_map(up)
-                rhs = cod.e(i, fb)
-                if lhs != rhs:
-                    return Report("morphism", instance, checked, "fail",
-                                  f"e_{i} not intertwined at {dom.canon(b)}")
-    return Report("morphism", instance, checked, "pass")
+
+    def witnesses():
+        for b in elements:
+            fb = f_map(b)
+            if fb is None:
+                continue
+            if dom.weight(b) != cod.weight(fb):
+                yield f"weight not preserved at {dom.canon(b)}"
+            for i in nodes:
+                if dom.eps(i, b) != cod.eps(i, fb) or \
+                        dom.phi(i, b) != cod.phi(i, fb):
+                    yield f"eps/phi not preserved at {dom.canon(b)}, node {i}"
+                down = dom.f(i, b)
+                if down is not None and f_map(down) != cod.f(i, fb):
+                    yield f"f_{i} not intertwined at {dom.canon(b)}"
+                up = dom.e(i, b)
+                if up is not None and f_map(up) != cod.e(i, fb):
+                    yield f"e_{i} not intertwined at {dom.canon(b)}"
+            yield None
+
+    return run_checks("morphism", {"rank": dom.rank, "size": len(elements)},
+                      witnesses())
 
 
 def export_graph(crystal: Crystal, elements) -> str:

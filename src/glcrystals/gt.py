@@ -12,7 +12,7 @@ from functools import cache, lru_cache
 
 from .base import (Weight, field, int_field, int_rows, interlacing_rows,
                    intervals, partition)
-from .core import Crystal, Report, schuetzenberger
+from .core import Crystal, Report, run_checks, schuetzenberger
 from .tableaux import Rows, ssyt, tableau_crystal
 
 Pattern = tuple[tuple[int, ...], ...]
@@ -188,18 +188,12 @@ def check_cgp_homomorphism(lam, n: int) -> Report:
     model = tableau_crystal(n)
     pool = [(x, gt_to_tableau(x)) for x in patterns_with_top(lam, n)]
     toggle = cache(bk_q)
-    checked = 0
-    for g in intervals(n):
-        i, j, nodes = g.p, g.q, g.nodes
-        for x, t in pool:
-            checked += 1
-            via_crystal = tableau_to_gt(schuetzenberger(model, t, nodes), n)
-            via_moves = toggle(toggle(toggle(x, j - 1), j - i), j - 1)
-            if via_crystal != via_moves:
-                return Report("cgp-homomorphism", instance, checked, "fail",
-                              f"{g} disagrees with "
-                              f"q{j - 1} q{j - i} q{j - 1} at {x}")
-    return Report("cgp-homomorphism", instance, checked, "pass")
+    return run_checks(
+        "cgp-homomorphism", instance,
+        (None if tableau_to_gt(schuetzenberger(model, t, g.nodes), n) ==
+         toggle(toggle(toggle(x, g.q - 1), g.q - g.p), g.q - 1) else
+         f"{g} disagrees with q{g.q - 1} q{g.q - g.p} q{g.q - 1} at {x}"
+         for g in intervals(n) for x, t in pool))
 
 
 # ---------------------------------------------------------------------------

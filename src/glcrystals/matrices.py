@@ -21,7 +21,7 @@ from functools import cache, lru_cache
 from itertools import combinations
 
 from .base import Weight, field, int_field, int_rows
-from .core import Crystal, Report
+from .core import Crystal, Report, run_checks
 from .tensor import TensorCrystal, tensor_crystal
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -410,12 +410,7 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
 
     With N = 0 or N = nm no operator moves, and the instance passes with
     checked=0 (`verify` leaves it out).
-    Raising there waits for a change to the benchmark, whose sweeps call
-    the (n, m, N) verifiers on such instances and count an exception as a
-    failed operation.
     """
-    instance = matrix_instance(n, m, N)
-    checked = 0
     r_nodes, c_nodes = range(1, m), range(1, n)
 
     @cache
@@ -428,88 +423,85 @@ def verify_commutation(n: int, m: int, N: int) -> Report:
                 [(Reps(M, i), Rphi(M, i)) for i in r_nodes],
                 [(Ceps(M, j), Cphi(M, j)) for j in c_nodes])
 
-    def bad(msg, M):
-        return Report("commutation", instance, checked, "fail",
-                      f"{msg} at {_flat(M)}")
-
-    for M in bit_matrices(n, m, N):
-        r_moves, c_moves, r_weight, c_weight, r_vals, c_vals = values(M)
-        for i, moves in zip(r_nodes, r_moves):
-            for target in moves:
-                if target is None:
-                    continue
-                checked += 1
-                _, _, _, t_weight, _, t_vals = values(target)
-                if t_weight != c_weight:
-                    return bad(f"R op at {i} moved the column-structure weight", M)
-                for j, ours, theirs in zip(c_nodes, c_vals, t_vals):
-                    if theirs != ours:
-                        return bad(f"R op at {i} moved C eps/phi at {j}", M)
-        for j, moves in zip(c_nodes, c_moves):
-            for target in moves:
-                if target is None:
-                    continue
-                checked += 1
-                _, _, t_weight, _, t_vals, _ = values(target)
-                if t_weight != r_weight:
-                    return bad(f"C op at {j} moved the row-structure weight", M)
-                for i, ours, theirs in zip(r_nodes, r_vals, t_vals):
-                    if theirs != ours:
-                        return bad(f"C op at {j} moved R eps/phi at {i}", M)
-        # the C move c at node j of a must equal the R move r at node i of
-        # b, where move 0 raises and move 1 lowers
-        for i, (r_up, r_dn) in zip(r_nodes, r_moves):
-            for j, (c_up, c_dn) in zip(c_nodes, c_moves):
-                for a, b, r, c, tag in ((r_up, c_up, 0, 0, "Re/Ce"),
-                                        (r_up, c_dn, 0, 1, "Re/Cf"),
-                                        (r_dn, c_up, 1, 0, "Rf/Ce"),
-                                        (r_dn, c_dn, 1, 1, "Rf/Cf")):
-                    if a is None or b is None:
+    def witnesses():
+        for M in bit_matrices(n, m, N):
+            r_moves, c_moves, r_weight, c_weight, r_vals, c_vals = values(M)
+            for i, moves in zip(r_nodes, r_moves):
+                for target in moves:
+                    if target is None:
                         continue
-                    checked += 1
-                    if values(a)[1][j - 1][c] != values(b)[0][i - 1][r]:
-                        return bad(f"{tag} fail at ({i},{j})", M)
-    return Report("commutation", instance, checked, "pass")
+                    _, _, _, t_weight, _, t_vals = values(target)
+                    if t_weight != c_weight:
+                        yield (f"R op at {i} moved the column-structure "
+                               f"weight at {_flat(M)}")
+                    for j, ours, theirs in zip(c_nodes, c_vals, t_vals):
+                        if theirs != ours:
+                            yield f"R op at {i} moved C eps/phi at {j} at {_flat(M)}"
+                    yield None
+            for j, moves in zip(c_nodes, c_moves):
+                for target in moves:
+                    if target is None:
+                        continue
+                    _, _, t_weight, _, t_vals, _ = values(target)
+                    if t_weight != r_weight:
+                        yield (f"C op at {j} moved the row-structure weight "
+                               f"at {_flat(M)}")
+                    for i, ours, theirs in zip(r_nodes, r_vals, t_vals):
+                        if theirs != ours:
+                            yield f"C op at {j} moved R eps/phi at {i} at {_flat(M)}"
+                    yield None
+            # the C move c at node j of a must equal the R move r at node i
+            # of b, where move 0 raises and move 1 lowers
+            for i, (r_up, r_dn) in zip(r_nodes, r_moves):
+                for j, (c_up, c_dn) in zip(c_nodes, c_moves):
+                    for a, b, r, c, tag in ((r_up, c_up, 0, 0, "Re/Ce"),
+                                            (r_up, c_dn, 0, 1, "Re/Cf"),
+                                            (r_dn, c_up, 1, 0, "Rf/Ce"),
+                                            (r_dn, c_dn, 1, 1, "Rf/Cf")):
+                        if a is not None and b is not None:
+                            yield (None if values(a)[1][j - 1][c] ==
+                                   values(b)[0][i - 1][r] else
+                                   f"{tag} fail at ({i},{j}) at {_flat(M)}")
+
+    return run_checks("commutation", matrix_instance(n, m, N), witnesses())
 
 
 def verify_dual_implementation(n: int, m: int, N: int) -> Report:
     """Closed formulas against the tensor rule, every operator and index,
-    every matrix.  The tensor structures are built once per matrix.
+    every matrix, one check per (matrix, operator, index).  The tensor
+    structures are built once per matrix.  A matrix's eps/phi comparisons
+    are not counted apart: they are further conditions of its last
+    operator check.
 
     With n = m = 1 there is no node on either side, and the instance passes
     with checked=0 (`verify` leaves it out).
-    Raising there waits for a change to the benchmark, whose sweeps call
-    the (n, m, N) verifiers on such instances and count an exception as a
-    failed operation.
     """
-    instance = matrix_instance(n, m, N)
-    checked = 0
+    def witnesses():
+        for M in bit_matrices(n, m, N):
+            rc, rw = row_structure(M)
+            cc, cw = col_structure(M)
+            ops = [(i, word, back, closed, op, tag)
+                   for nodes, word, back, pairs in (
+                       (range(1, m), rw, tuple,
+                        ((Re, rc.e, "Re"), (Rf, rc.f, "Rf"))),
+                       (range(1, n), cw, matrix_from_col_word,
+                        ((Ce, cc.e, "Ce"), (Cf, cc.f, "Cf"))))
+                   for i in nodes for closed, op, tag in pairs]
+            for k, (i, word, back, closed, op, tag) in enumerate(ops, 1):
+                out = op(i, word)
+                if closed(M, i) != (None if out is None else back(out)):
+                    yield f"{tag}_{i} differs at {_flat(M)}"
+                if k == len(ops):
+                    for r in range(1, m):
+                        if Reps(M, r) != rc.eps(r, rw) or Rphi(M, r) != rc.phi(r, rw):
+                            yield f"R eps/phi at {r} differ at {_flat(M)}"
+                    for j in range(1, n):
+                        if Ceps(M, j) != cc.eps(j, cw) or Cphi(M, j) != cc.phi(j, cw):
+                            yield f"C eps/phi at {j} differ at {_flat(M)}"
+                yield None
 
-    def bad(msg, M):
-        return Report("dual-implementation", instance, checked, "fail",
-                      f"{msg} at {_flat(M)}")
-
-    for M in bit_matrices(n, m, N):
-        rc, rw = row_structure(M)
-        cc, cw = col_structure(M)
-        for nodes, word, back, ops in (
-                (range(1, m), rw, tuple,
-                 ((Re, rc.e, "Re"), (Rf, rc.f, "Rf"))),
-                (range(1, n), cw, matrix_from_col_word,
-                 ((Ce, cc.e, "Ce"), (Cf, cc.f, "Cf")))):
-            for i in nodes:
-                for closed, op, tag in ops:
-                    checked += 1
-                    out = op(i, word)
-                    if closed(M, i) != (None if out is None else back(out)):
-                        return bad(f"{tag}_{i} differs", M)
-        for i in range(1, m):
-            if Reps(M, i) != rc.eps(i, rw) or Rphi(M, i) != rc.phi(i, rw):
-                return bad(f"R eps/phi at {i} differ", M)
-        for j in range(1, n):
-            if Ceps(M, j) != cc.eps(j, cw) or Cphi(M, j) != cc.phi(j, cw):
-                return bad(f"C eps/phi at {j} differ", M)
-    return Report("dual-implementation", instance, checked, "pass")
+    return run_checks("dual-implementation", matrix_instance(n, m, N),
+                      witnesses())
 
 
 # ---------------------------------------------------------------------------

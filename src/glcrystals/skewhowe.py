@@ -28,7 +28,7 @@ from math import comb
 from .base import (DynkinInterval, Partition, intervals, partitions_in_box,
                    ssyt_fillings, transpose)
 from .cactus import CactusWord, inner_act
-from .core import Report, schuetzenberger, to_highest_path
+from .core import Report, run_checks, schuetzenberger, to_highest_path
 from .matrices import (Ce, Ceps, Cf, Cphi, Matrix, Re, Reps, Rf, _flat,
                        bit_matrices, col_word, dims, matrix_col_crystal,
                        matrix_from_col_word, matrix_instance,
@@ -319,16 +319,10 @@ def inner_on_cols(M: Matrix, w: CactusWord) -> Matrix:
 # step's transport seam up at call time, and their witnesses print the
 # whole matrix.
 
-def _blocks(rank: int, block_model) -> list:
-    """(s[p,q], lo, hi, model, nodes) for each rank-`rank` generator: the
-    block it reads and moves is rows (or columns) lo..hi-1 = p-1..q-1
-    (0-based), `model = block_model(k)` is the model of a block of
-    k = q-p+1 of them and `nodes` = 1..k-1 its full node set."""
-    out = []
-    for g in intervals(rank):
-        k = g.q - g.p + 1
-        out.append((g, g.p - 1, g.q, block_model(k), tuple(range(1, k))))
-    return out
+def _blocks(rank: int) -> list:
+    """(s[p,q], lo, hi) for each rank-`rank` generator: the block it reads
+    and moves is rows (or columns) lo..hi-1 = p-1..q-1 (0-based)."""
+    return [(g, g.p - 1, g.q) for g in intervals(rank)]
 
 
 def verify_agreement(n: int, m: int, N: int) -> Report:
@@ -340,13 +334,12 @@ def verify_agreement(n: int, m: int, N: int) -> Report:
 
     With n = 1 there is no generator, and an instance with matrices passes
     with checked=0 (`verify` leaves it out).
-    Raising there waits for a change to the benchmark, whose sweeps call
-    the (n, m, N) verifiers on such instances and count an exception as a
-    failed operation.
     """
     instance = matrix_instance(n, m, N)
-    gens = _blocks(n, lambda k: matrix_col_crystal(k, m))
-    models = {hi - lo: (model, nodes) for _, lo, hi, model, nodes in gens}
+    gens = _blocks(n)
+    # the model of a block of k rows and its full node set
+    models = {k: (matrix_col_crystal(k, m), tuple(range(1, k)))
+              for k in range(2, n + 1)}
 
     @cache
     def agrees(B):
@@ -354,14 +347,10 @@ def verify_agreement(n: int, m: int, N: int) -> Report:
         return _turn_rows(B, 0, len(B), _row_xi_by_transport) == \
             schuetzenberger(model, B, nodes)
 
-    checked = 0
-    for M in bit_matrices(n, m, N):
-        for g, lo, hi, _, _ in gens:
-            checked += 1
-            if not agrees(M[lo:hi]):
-                return Report("agreement", instance, checked, "fail",
-                              f"{g} outer != inner at {_flat(M)}")
-    return Report("agreement", instance, checked, "pass")
+    return run_checks(
+        "agreement", instance,
+        (None if agrees(M[lo:hi]) else f"{g} outer != inner at {_flat(M)}"
+         for M in bit_matrices(n, m, N) for g, lo, hi in gens))
 
 
 def verify_corollary(n: int, m: int, N: int) -> Report:
@@ -378,18 +367,13 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
 
     With m = 1 there is no node or generator, and an instance with matrices
     passes with checked=0 (`verify` leaves it out).
-    Raising there waits for a change to the benchmark, whose sweeps call
-    the (n, m, N) verifiers on such instances and count an exception as a
-    failed operation.
     """
     instance = matrix_instance(n, m, N)
+    blocks = _blocks(m)
     # rows lo..hi-1 of an m x n matrix M with the C operators are the
     # columns lo..hi-1 of its quarter turn R with the R operators
-    c_blocks = _blocks(m, lambda k: matrix_col_crystal(k, n))
-    r_blocks = _blocks(m, lambda k: matrix_row_crystal(n, k))
-    models = {hi - lo: (c_model, r_model, nodes)
-              for (_, lo, hi, c_model, nodes), (_, _, _, r_model, _) in
-              zip(c_blocks, r_blocks)}
+    models = {k: (matrix_col_crystal(k, n), matrix_row_crystal(n, k),
+                  tuple(range(1, k))) for k in range(2, m + 1)}
     steps = [(i, cop, rop, tag) for i in range(1, m)
              for cop, rop, tag in ((Ce, Re, "Ce/Re"), (Cf, Rf, "Cf/Rf"))]
 
@@ -409,35 +393,30 @@ def verify_corollary(n: int, m: int, N: int) -> Report:
             _turn_rows(turned, 0, len(turned), _row_xi_by_transport)) == \
             schuetzenberger(r_model, B, nodes)
 
-    checked = 0
-    for M in bit_matrices(m, n, N):
-        R = col_word(M)
-        for i, cop, rop, tag in steps:
-            checked += 1
-            lhs = cop(M, i)
-            rhs = rop(R, i)
-            if (lhs is None) != (rhs is None) or \
-                    (lhs is not None and col_word(lhs) != rhs):
-                return Report("corollary", instance, checked, "fail",
-                              f"rotation does not intertwine {tag} at {i}, "
-                              f"{_flat(M)}")
-        for g, lo, hi, _, _ in c_blocks:
-            checked += 1
-            if not turn_intertwines(M[lo:hi]):
-                return Report("corollary", instance, checked, "fail",
-                              f"rotation does not intertwine inner {g} at {_flat(M)}")
-    # the reflected interval s[m+1-q, m+1-p] of the column word turns the
-    # rows m-q..m-p of the quarter turn, which are the quarter turn of the
-    # block of columns p-1..q-1
-    for N_mat in bit_matrices(n, m, N):
-        for g, lo, hi, _, _ in r_blocks:
-            checked += 1
-            if not col_agrees(tuple([row[lo:hi] for row in N_mat])):
-                reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
-                return Report("corollary", instance, checked, "fail",
-                              f"{reflected} outer on columns != "
-                              f"inner {g} at {_flat(N_mat)}")
-    return Report("corollary", instance, checked, "pass")
+    def witnesses():
+        for M in bit_matrices(m, n, N):
+            R = col_word(M)
+            for i, cop, rop, tag in steps:
+                lhs = cop(M, i)
+                rhs = rop(R, i)
+                yield (None if (lhs is None) == (rhs is None) and
+                       (lhs is None or col_word(lhs) == rhs) else
+                       f"rotation does not intertwine {tag} at {i}, {_flat(M)}")
+            for g, lo, hi in blocks:
+                yield (None if turn_intertwines(M[lo:hi]) else
+                       f"rotation does not intertwine inner {g} at {_flat(M)}")
+        # the reflected interval s[m+1-q, m+1-p] of the column word turns
+        # the rows m-q..m-p of the quarter turn, which are the quarter turn
+        # of the block of columns p-1..q-1
+        for N_mat in bit_matrices(n, m, N):
+            for g, lo, hi in blocks:
+                if not col_agrees(tuple([row[lo:hi] for row in N_mat])):
+                    reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
+                    yield (f"{reflected} outer on columns != inner {g} at "
+                           f"{_flat(N_mat)}")
+                yield None
+
+    return run_checks("corollary", instance, witnesses())
 
 
 def verify_counting(n: int, m: int, N: int) -> Report:
@@ -453,7 +432,6 @@ def verify_counting(n: int, m: int, N: int) -> Report:
         count_m = sum(1 for _ in ssyt_fillings(transpose(lam), m))
         total += count_n * count_m
     expect = comb(n * m, N)
-    if total != expect:
-        return Report("counting", instance, 1, "fail",
-                      f"sum over shapes gives {total}, expected {expect}")
-    return Report("counting", instance, 1, "pass")
+    return run_checks("counting", instance, [
+        None if total == expect else
+        f"sum over shapes gives {total}, expected {expect}"])

@@ -9,9 +9,9 @@ from glcrystals.cactus import (verify_cactus_relations, verify_reduced_braid,
                               xi_full)
 from glcrystals.core import (Crystal, character, check_crystal_axioms,
                              component, components, export_graph, is_morphism,
-                             kashiwara_reflection, schuetzenberger,
-                             schuetzenberger_by_path, to_highest_path,
-                             verify_involution_properties)
+                             kashiwara_reflection, run_checks,
+                             schuetzenberger, schuetzenberger_by_path,
+                             to_highest_path, verify_involution_properties)
 from glcrystals.matrices import (MatrixColCrystal, MatrixRowCrystal, Re,
                                  bit_matrices, fundamental_crystal,
                                  matrix_col_crystal, matrix_row_crystal)
@@ -585,6 +585,37 @@ def test_reflection_raises_at_the_first_missing_step():
 
 
 # ---------------------------------------------------------------------------
+# the reporting rule
+
+def test_run_checks_counts_the_failing_item():
+    rep = run_checks("rule", {}, iter([None, None, "third", None]))
+    assert (rep.status, rep.checked, rep.witness) == ("fail", 3, "third")
+
+
+def test_run_checks_never_resumes_past_a_witness():
+    def items():
+        yield None
+        yield "second"
+        raise AssertionError("resumed after the witness")
+
+    rep = run_checks("rule", {}, items())
+    assert (rep.status, rep.checked, rep.witness) == ("fail", 2, "second")
+
+
+def test_run_checks_passes_an_empty_iterator_with_nothing_checked():
+    rep = run_checks("rule", {}, iter(()))
+    assert (rep.status, rep.checked, rep.witness) == ("pass", 0, None)
+
+
+def test_run_checks_passes_the_name_and_instance_through():
+    instance = {"n": 2, "m": 3, "N": 1}
+    for items in ([None, None], [None, "bad"]):
+        rep = run_checks("agreement", instance, items)
+        assert rep.name == "agreement" and rep.instance is instance
+        assert rep.checked == 2
+
+
+# ---------------------------------------------------------------------------
 # axioms
 
 def test_axioms_pass_small_tableau():
@@ -641,6 +672,42 @@ class _Seeded(Crystal):
 def test_axioms_report_each_seeded_fault(faults, b, witness):
     rep = check_crystal_axioms(_Seeded(**faults), [b])
     assert rep.status == "fail" and rep.witness.startswith(witness)
+
+
+# each branch fails after the checks of the elements before it pass, so
+# `checked` counts them; (1, 2) is the one tableau of shape (1, 1)
+@pytest.mark.parametrize("faults, elements, expected", [
+    ({"e": lambda i, x: _S if x == _M else _TAB2.e(i, x)}, [_S, _C, _A],
+     (3, "e_1 f_1 != id at 1,1")),
+    ({"weight": lambda x: (1, 1)}, [_S, _A],
+     (2, "f_1 weight step wrong at 1,1")),
+    ({"e": lambda i, x: _A if x == _C else _TAB2.e(i, x)}, [_S, _A, _C],
+     (3, "f_1 e_1 != id at 2,2")),
+    ({"weight": lambda x: (1, 1)}, [_S, _C],
+     (2, "e_1 weight step wrong at 2,2")),
+    ({"eps": lambda i, x: 0}, [_S, _A, _M],
+     (3, "eps/phi formula disagrees with iteration at 1,2, node 1")),
+    ({"weight": {_A: (3, 0), _M: (2, 1), _C: (1, 2), _S: (1, 1)}.get},
+     [_S, _A], (2, "phi - eps != <wt, coroot> at 1,1, node 1")),
+], ids=["e f", "f weight", "f e", "e weight", "eps/phi", "pairing"])
+def test_axioms_count_the_checks_before_each_seeded_fault(faults, elements,
+                                                          expected):
+    rep = check_crystal_axioms(_Seeded(**faults), elements)
+    assert (rep.status, rep.checked, rep.witness) == ("fail", *expected)
+
+
+class _Eps2Zero(TableauCrystal):
+    """Tableaux whose eps at node 2 always reads 0."""
+
+    def eps(self, i, b):
+        return 0 if i == 2 else super().eps(i, b)
+
+
+def test_axioms_count_one_check_per_element_and_node():
+    # (1,) and (2,) pass at both nodes; (3,) passes node 1 and fails node 2
+    rep = check_crystal_axioms(_Eps2Zero(3), enumerate_b_lambda((1,), 3))
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 6, "eps/phi formula disagrees with iteration at 3, node 2")
 
 
 def test_axioms_matrix_structures_84():
@@ -713,6 +780,22 @@ def test_morphism_verifier_reports_each_seeded_map(table, b, witness):
     crystal = tableau_crystal(2)
     rep = is_morphism(table.get, crystal, crystal, [b])
     assert rep.status == "fail" and rep.witness.startswith(witness)
+
+
+# (1, 2) maps to itself and passes first; an element the map sends to None
+# is not a check, so (2, 2) adds nothing in the f_1 case
+@pytest.mark.parametrize("table, elements, expected", [
+    ({_S: _S, _A: _C}, [_S, _A], (2, "weight not preserved at 1,1")),
+    ({_S: _S, _M: _S}, [_S, _M], (2, "eps/phi not preserved at 1,2, node 1")),
+    ({_S: _S, _A: _A, _M: _S}, [_S, _C, _A],
+     (2, "f_1 not intertwined at 1,1")),
+    ({_S: _S, _C: _C, _M: _S}, [_S, _C], (2, "e_1 not intertwined at 2,2")),
+], ids=["weight", "eps/phi", "f", "e"])
+def test_morphism_counts_the_checks_before_each_seeded_map(table, elements,
+                                                           expected):
+    crystal = tableau_crystal(2)
+    rep = is_morphism(table.get, crystal, crystal, elements)
+    assert (rep.status, rep.checked, rep.witness) == ("fail", *expected)
 
 
 def test_morphism_endpoints_must_share_a_rank():

@@ -172,6 +172,24 @@ def test_pattern_local_involution_catches_a_seeded_fault(monkeypatch):
     assert rep.witness.startswith("s[1,2] local route disagrees")
 
 
+def test_local_involution_counts_the_checks_before_a_seeded_fault(
+        monkeypatch):
+    # a route that skips the full interval passes all 8 patterns on s[1,2]
+    # and fails on the first one of s[1,3]
+    real = PatternCrystal.interval_involution
+
+    def skips_full(self, x, nodes):
+        if tuple(nodes) == tuple(range(1, self.rank)):
+            return x
+        return real(self, x, nodes)
+
+    monkeypatch.setattr(PatternCrystal, "interval_involution", skips_full)
+    rep = verify_local_involution(pattern_crystal(3), pattern_pool((2, 1), 3))
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 9, "s[1,3] local route disagrees with transport at "
+                   "2,1,0/1,0/0")
+
+
 def test_cold_pattern_word_builds_no_component():
     # s[1,5] on this pattern has a component of 1024 patterns; the local
     # route conjugates evacuation and must not walk it

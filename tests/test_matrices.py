@@ -417,6 +417,21 @@ def test_operator_verifiers_fail_on_seeded_faults(monkeypatch, name, fault,
         assert (rep.checked, rep.witness) == expected
 
 
+@pytest.mark.parametrize("name, n, m, expected", [
+    ("Reps", 1, 3, (12, "R eps/phi at 2 differ at 001")),
+    ("Cphi", 3, 1, (8, "C eps/phi at 2 differ at 010")),
+])
+def test_dual_eps_phi_fault_counts_up_to_the_last_operator_check(
+        monkeypatch, name, n, m, expected):
+    # one side has no node, so each matrix has four operator checks, all on
+    # the other side; the eps/phi comparisons are not counted, and a
+    # failing one reports the count at its matrix's last operator check
+    real = getattr(matrices, name)
+    monkeypatch.setattr(matrices, name, lambda M, i: 0 if i == 2 else real(M, i))
+    rep = verify_dual_implementation(n, m, 1)
+    assert (rep.status, rep.checked, rep.witness) == ("fail", *expected)
+
+
 def test_commutation_computes_each_operator_once_per_matrix_and_node(
         monkeypatch):
     calls = Counter()

@@ -371,6 +371,15 @@ def test_counting_identity_small():
                 assert verify_counting(n, m, N).ok
 
 
+def test_counting_fails_without_the_transpose(monkeypatch):
+    # the one check of the instance: (2) and (1, 1) then count 3 * 3 and
+    # 1 * 1 pairs of tableaux, where the 2 x 2 matrices with two ones are 6
+    monkeypatch.setattr(skewhowe, "transpose", lambda lam: lam)
+    rep = verify_counting(2, 2, 2)
+    assert (rep.status, rep.checked, rep.witness) == (
+        "fail", 1, "sum over shapes gives 10, expected 6")
+
+
 # ---------------------------------------------------------------------------
 # rotation
 
@@ -461,24 +470,24 @@ def block_locality_mismatches(shapes):
     each n x m shape and every interval, on fresh models: the full model's
     involution equals the block model's full involution spliced back, on
     row blocks in the C models and on column blocks in the R models.  The
-    block bounds and models come from `skewhowe._blocks`, as in the
-    verifiers."""
+    block bounds come from `skewhowe._blocks`, as in the verifiers."""
     col_model, row_model, _ = fresh_models()
     cases = mismatches = 0
     for n, m in shapes:
-        rows = skewhowe._blocks(n, lambda k: col_model(k, m))
-        cols = skewhowe._blocks(m, lambda k: row_model(n, k))
         for N in range(n * m + 1):
             for M in bit_matrices(n, m, N):
-                for g, lo, hi, model, nodes in rows:
+                for g, lo, hi in skewhowe._blocks(n):
                     cases += 1
-                    block = schuetzenberger(model, M[lo:hi], nodes)
+                    block = schuetzenberger(col_model(hi - lo, m), M[lo:hi],
+                                            tuple(range(1, hi - lo)))
                     mismatches += M[:lo] + block + M[hi:] != \
                         schuetzenberger(col_model(n, m), M, g.nodes)
-                for g, lo, hi, model, nodes in cols:
+                for g, lo, hi in skewhowe._blocks(m):
                     cases += 1
                     block = schuetzenberger(
-                        model, tuple([row[lo:hi] for row in M]), nodes)
+                        row_model(n, hi - lo),
+                        tuple([row[lo:hi] for row in M]),
+                        tuple(range(1, hi - lo)))
                     spliced = tuple([row[:lo] + new + row[hi:]
                                      for row, new in zip(M, block)])
                     mismatches += spliced != \
@@ -600,15 +609,15 @@ def plain_agreement(n, m, N):
     """`verify_agreement` with no memo: both sides of every (matrix,
     generator) pair are computed."""
     instance = matrices.matrix_instance(n, m, N)
-    gens = skewhowe._blocks(n, lambda k: matrix_col_crystal(k, m))
     checked = 0
     for M in bit_matrices(n, m, N):
-        for g, lo, hi, model, nodes in gens:
+        for g, lo, hi in skewhowe._blocks(n):
             checked += 1
             B = M[lo:hi]
             if skewhowe._turn_rows(B, 0, hi - lo,
                                    skewhowe._row_xi_by_transport) != \
-                    schuetzenberger(model, B, nodes):
+                    schuetzenberger(matrix_col_crystal(hi - lo, m), B,
+                                    tuple(range(1, hi - lo))):
                 return Report("agreement", instance, checked, "fail",
                               f"{g} outer != inner at {matrices._flat(M)}")
     return Report("agreement", instance, checked, "pass")
@@ -618,8 +627,7 @@ def plain_corollary(n, m, N):
     """`verify_corollary` with no memo: both sides of every (matrix,
     generator) pair are computed."""
     instance = matrices.matrix_instance(n, m, N)
-    c_blocks = skewhowe._blocks(m, lambda k: matrix_col_crystal(k, n))
-    r_blocks = skewhowe._blocks(m, lambda k: matrix_row_crystal(n, k))
+    blocks = skewhowe._blocks(m)
     steps = [(i, cop, rop, tag) for i in range(1, m)
              for cop, rop, tag in ((skewhowe.Ce, skewhowe.Re, "Ce/Re"),
                                    (skewhowe.Cf, skewhowe.Rf, "Cf/Rf"))]
@@ -635,22 +643,24 @@ def plain_corollary(n, m, N):
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine {tag} at {i}, "
                               f"{matrices._flat(M)}")
-        for (g, lo, hi, c_model, nodes), (_, _, _, r_model, _) in \
-                zip(c_blocks, r_blocks):
+        for g, lo, hi in blocks:
             checked += 1
-            if col_word(schuetzenberger(c_model, M[lo:hi], nodes)) != \
-                    schuetzenberger(r_model, tuple([row[lo:hi] for row in R]),
-                                    nodes):
+            nodes = tuple(range(1, hi - lo))
+            if col_word(schuetzenberger(matrix_col_crystal(hi - lo, n),
+                                        M[lo:hi], nodes)) != \
+                    schuetzenberger(matrix_row_crystal(n, hi - lo),
+                                    tuple([row[lo:hi] for row in R]), nodes):
                 return Report("corollary", instance, checked, "fail",
                               f"rotation does not intertwine inner {g} at "
                               f"{matrices._flat(M)}")
     for N_mat in bit_matrices(n, m, N):
-        for g, lo, hi, model, nodes in r_blocks:
+        for g, lo, hi in blocks:
             checked += 1
             B = tuple([row[lo:hi] for row in N_mat])
             outer = matrix_from_col_word(skewhowe._turn_rows(
                 col_word(B), 0, hi - lo, skewhowe._row_xi_by_transport))
-            if outer != schuetzenberger(model, B, nodes):
+            if outer != schuetzenberger(matrix_row_crystal(n, hi - lo), B,
+                                        tuple(range(1, hi - lo))):
                 reflected = DynkinInterval(m + 1 - g.q, m + 1 - g.p, m)
                 return Report("corollary", instance, checked, "fail",
                               f"{reflected} outer on columns != "

@@ -79,6 +79,23 @@ def test_private_helpers_have_a_caller():
                   if name not in used) == []
 
 
+def test_reports_are_built_only_at_the_reporting_sites():
+    # every verifier reports through core.run_checks; only the golden table
+    # (it reports every failing fact), the oracle (it counts elements) and
+    # the CLI's crash report build a Report themselves
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Report" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sorted(found) == ["cli.cmd_verify", "core.run_checks",
+                             "goldens.run_golden", "suites._oracle"]
+
+
 def test_traced_names_resolve_on_the_package():
     # perfbench/spans.py patches these names at run time; a kernel refactor
     # that drops one would otherwise fail only inside the benchmark's
