@@ -117,13 +117,13 @@ def _act_word(node_sets, crystal, b):
     return b
 
 
-def verify_cactus_relations(crystal: Crystal, elements) -> Report:
-    """Pointwise defining relations on an element set: every generator is an
+def relation_witnesses(crystal: Crystal, elements):
+    """Witness stream of the pointwise defining relations on an element
+    set, one item per (element, relation): every generator is an
     involution; for nested intervals the outer generator twists the inner
     one by its diagram involution; generators of disconnected intervals
     commute.
     """
-    instance = {"rank": crystal.rank, "size": len(elements)}
     gens = intervals(crystal.rank)
     squares = [(g, (g.nodes, g.nodes)) for g in gens]
     # (left word, right word, witness prefix) of every relation between two
@@ -138,48 +138,53 @@ def verify_cactus_relations(crystal: Crystal, elements) -> Report:
             elif g.q < h.p or h.q < g.p:
                 pairs.append(((g.nodes, h.nodes), (h.nodes, g.nodes),
                               f"disjoint generators {g},{h} do not commute at "))
-
-    def witnesses():
-        for b in elements:
-            for g, square in squares:
-                yield (None if _act_word(square, crystal, b) == b
-                       else f"{g} not an involution at {crystal.canon(b)}")
-            for lhs, rhs, witness in pairs:
-                yield (None if _act_word(lhs, crystal, b) ==
-                       _act_word(rhs, crystal, b) else witness + crystal.canon(b))
-
-    return run_checks("cactus-relations", instance, witnesses())
+    for b in elements:
+        for g, square in squares:
+            yield (None if _act_word(square, crystal, b) == b
+                   else f"{g} not an involution at {crystal.canon(b)}")
+        for lhs, rhs, witness in pairs:
+            yield (None if _act_word(lhs, crystal, b) ==
+                   _act_word(rhs, crystal, b) else witness + crystal.canon(b))
 
 
-def verify_reduced_braid(crystal: Crystal, elements) -> Report:
-    """Pointwise braid relations for the single-node reflections: squares
-    vanish, adjacent nodes satisfy the order-3 relation, distant nodes
-    commute.
+def verify_cactus_relations(crystal: Crystal, elements) -> Report:
+    """The report of `relation_witnesses` on an element set."""
+    return run_checks("cactus-relations",
+                      {"rank": crystal.rank, "size": len(elements)},
+                      relation_witnesses(crystal, elements))
 
-    Each (node, element) pair is reflected once per call through a
-    `functools.cache` made inside the call, the first time a check reads
-    it; the cache is freed when the call returns."""
+
+def braid_witnesses(crystal: Crystal, elements):
+    """Witness stream of the pointwise braid relations for the single-node
+    reflections, one item per (element, relation): squares vanish, adjacent
+    nodes satisfy the order-3 relation, distant nodes commute.
+
+    Each (node, element) pair is reflected once per stream through a
+    `functools.cache` made when the stream starts, the first time a check
+    reads it; the cache is freed with the stream."""
     k = crystal.rank
 
     @cache
     def refl(i, b):
         return kashiwara_reflection(crystal, b, i)
 
-    def witnesses():
-        for b in elements:
-            for i in range(1, k):
-                yield (None if refl(i, refl(i, b)) == b
-                       else f"s_{i} squared != id at {crystal.canon(b)}")
-            for i in range(1, k - 1):
-                x = b
-                for _ in range(3):
-                    x = refl(i + 1, refl(i, x))
-                yield (None if x == b
-                       else f"(s_{i} s_{i + 1})^3 != id at {crystal.canon(b)}")
-            for i in range(1, k):
-                for j in range(i + 2, k):
-                    yield (None if refl(j, refl(i, b)) == refl(i, refl(j, b))
-                           else f"s_{i}, s_{j} do not commute at {crystal.canon(b)}")
+    for b in elements:
+        for i in range(1, k):
+            yield (None if refl(i, refl(i, b)) == b
+                   else f"s_{i} squared != id at {crystal.canon(b)}")
+        for i in range(1, k - 1):
+            x = b
+            for _ in range(3):
+                x = refl(i + 1, refl(i, x))
+            yield (None if x == b
+                   else f"(s_{i} s_{i + 1})^3 != id at {crystal.canon(b)}")
+        for i in range(1, k):
+            for j in range(i + 2, k):
+                yield (None if refl(j, refl(i, b)) == refl(i, refl(j, b))
+                       else f"s_{i}, s_{j} do not commute at {crystal.canon(b)}")
 
-    return run_checks("braid", {"rank": k, "size": len(elements)},
-                      witnesses())
+
+def verify_reduced_braid(crystal: Crystal, elements) -> Report:
+    """The report of `braid_witnesses` on an element set."""
+    return run_checks("braid", {"rank": crystal.rank, "size": len(elements)},
+                      braid_witnesses(crystal, elements))

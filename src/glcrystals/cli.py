@@ -355,9 +355,14 @@ def cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="glcrystals",
+        prog="glcrystals", allow_abbrev=False,
         description="exact computations and verifiers for gl_k crystals")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, summary):
+        # add_subparsers does not pass allow_abbrev down: without it each
+        # command would read an unambiguous prefix as the longer flag
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     def add_model_flags(p):
         p.add_argument("--model", choices=["tableau", "matrix", "tensor", "gt"])
@@ -373,24 +378,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out")
 
-    p = sub.add_parser("graph", help="DOT export of a crystal graph")
+    p = command("graph", "DOT export of a crystal graph")
     add_model_flags(p)
     add_output(p, ["dot"], "dot")
     p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("character", help="weight multiset of a model")
+    p = command("character", "weight multiset of a model")
     add_model_flags(p)
     add_output(p)
     p.set_defaults(fn=cmd_character)
 
-    p = sub.add_parser("tensor", help="components of a tensor of tableau crystals")
+    p = command("tensor", "components of a tensor of tableau crystals")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--shapes", required=True,
                    help="semicolon-separated shapes, e.g. '2,1;1'")
     add_output(p)
     p.set_defaults(fn=cmd_tensor)
 
-    p = sub.add_parser("act", help="apply a cactus word to an element")
+    p = command("act", "apply a cactus word to an element")
     p.add_argument("--model",
                    choices=["tableau", "matrix", "tensor", "gt"], required=True)
     p.add_argument("--word", required=True,
@@ -401,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(fn=cmd_act)
 
-    p = sub.add_parser("gt", help="pattern moves, content vector, tableau form")
+    p = command("gt", "pattern moves, content vector, tableau form")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--moves", default="",
                    help="whitespace-separated tokens t<j> or q<i>")
@@ -411,12 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p, default=None)
     p.set_defaults(fn=cmd_gt)
 
-    p = sub.add_parser("skew-howe", help="duality pair of a 0/1 matrix")
+    p = command("skew-howe", "duality pair of a 0/1 matrix")
     p.add_argument("--in", dest="infile", required=True)
     add_output(p)
     p.set_defaults(fn=cmd_skew_howe)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command("verify", "run verification suites")
     p.add_argument("target", choices=[k.split()[1] for k in READS if " " in k])
     add_model_flags(p)
     p.add_argument("--budget", type=int, default=None,

@@ -358,9 +358,9 @@ def kashiwara_reflection(crystal: Crystal, b, i: int):
     return x
 
 
-def check_crystal_axioms(crystal: Crystal, elements) -> Report:
-    """Verify the defining axioms on a finite element set, one check per
-    (element, node):
+def axiom_witnesses(crystal: Crystal, elements):
+    """Witness stream of the defining axioms on a finite element set, one
+    item per (element, node):
 
     - f_i(b) = c exactly when e_i(c) = b,
     - weights move by the simple root,
@@ -368,35 +368,36 @@ def check_crystal_axioms(crystal: Crystal, elements) -> Report:
     - phi - eps equals the coroot pairing of the weight.
     """
     nodes = crystal.nodes()
+    for b in elements:
+        wb = crystal.weight(b)
+        for i in nodes:
+            c = crystal.f(i, b)
+            if c is not None:
+                if crystal.e(i, c) != b:
+                    yield f"e_{i} f_{i} != id at {crystal.canon(b)}"
+                if crystal.weight(c) != add_root(wb, i, -1):
+                    yield f"f_{i} weight step wrong at {crystal.canon(b)}"
+            c = crystal.e(i, b)
+            if c is not None:
+                if crystal.f(i, c) != b:
+                    yield f"f_{i} e_{i} != id at {crystal.canon(b)}"
+                if crystal.weight(c) != add_root(wb, i, +1):
+                    yield f"e_{i} weight step wrong at {crystal.canon(b)}"
+            ep, ph = crystal.eps(i, b), crystal.phi(i, b)
+            if ep != Crystal.eps(crystal, i, b) or \
+                    ph != Crystal.phi(crystal, i, b):
+                yield (f"eps/phi formula disagrees with iteration at "
+                       f"{crystal.canon(b)}, node {i}")
+            if ph - ep != pairing(wb, i):
+                yield (f"phi - eps != <wt, coroot> at {crystal.canon(b)}, "
+                       f"node {i}")
+            yield None
 
-    def witnesses():
-        for b in elements:
-            wb = crystal.weight(b)
-            for i in nodes:
-                c = crystal.f(i, b)
-                if c is not None:
-                    if crystal.e(i, c) != b:
-                        yield f"e_{i} f_{i} != id at {crystal.canon(b)}"
-                    if crystal.weight(c) != add_root(wb, i, -1):
-                        yield f"f_{i} weight step wrong at {crystal.canon(b)}"
-                c = crystal.e(i, b)
-                if c is not None:
-                    if crystal.f(i, c) != b:
-                        yield f"f_{i} e_{i} != id at {crystal.canon(b)}"
-                    if crystal.weight(c) != add_root(wb, i, +1):
-                        yield f"e_{i} weight step wrong at {crystal.canon(b)}"
-                ep, ph = crystal.eps(i, b), crystal.phi(i, b)
-                if ep != Crystal.eps(crystal, i, b) or \
-                        ph != Crystal.phi(crystal, i, b):
-                    yield (f"eps/phi formula disagrees with iteration at "
-                           f"{crystal.canon(b)}, node {i}")
-                if ph - ep != pairing(wb, i):
-                    yield (f"phi - eps != <wt, coroot> at {crystal.canon(b)}, "
-                           f"node {i}")
-                yield None
 
+def check_crystal_axioms(crystal: Crystal, elements) -> Report:
+    """The report of `axiom_witnesses` on a finite element set."""
     return run_checks("axioms", {"rank": crystal.rank, "size": len(elements)},
-                      witnesses())
+                      axiom_witnesses(crystal, elements))
 
 
 def character(crystal: Crystal, elements) -> Counter:
@@ -404,9 +405,9 @@ def character(crystal: Crystal, elements) -> Counter:
     return Counter(crystal.weight(b) for b in elements)
 
 
-def verify_involution_properties(crystal: Crystal, elements) -> Report:
-    """Pointwise involution contract on an element set, one check per
-    (interval, element):
+def involution_witnesses(crystal: Crystal, elements):
+    """Witness stream of the pointwise involution contract on an element
+    set, one item per (interval, element):
 
     - the involution squares to the identity,
     - it swaps e_i with f at the twisted index and reverses the weight
@@ -414,40 +415,42 @@ def verify_involution_properties(crystal: Crystal, elements) -> Report:
     - the componentwise transport agrees with directed path transport under
       both scan orders.
     """
-    def witnesses():
-        for g in intervals(crystal.rank):
-            p, q, nodes = g.p, g.q, g.nodes
-            for b in elements:
-                xb = schuetzenberger(crystal, b, nodes)
-                if schuetzenberger(crystal, xb, nodes) != b:
-                    yield f"not an involution on {nodes} at {crystal.canon(b)}"
-                wb = list(crystal.weight(b))
-                wb[p - 1:q] = wb[p - 1:q][::-1]
-                if list(crystal.weight(xb)) != wb:
-                    yield (f"weight not block-reversed on {nodes} at "
-                           f"{crystal.canon(b)}")
-                for i in nodes:
-                    ti = theta_on_nodes(nodes, i)
-                    lhs = crystal.e(i, xb)
-                    down = crystal.f(ti, b)
-                    if lhs != (None if down is None else
-                               schuetzenberger(crystal, down, nodes)):
-                        yield f"e_{i} twist fails on {nodes} at {crystal.canon(b)}"
-                    lhs = crystal.f(i, xb)
-                    up = crystal.e(ti, b)
-                    if lhs != (None if up is None else
-                               schuetzenberger(crystal, up, nodes)):
-                        yield f"f_{i} twist fails on {nodes} at {crystal.canon(b)}"
-                small = schuetzenberger_by_path(crystal, b, nodes, "smallest")
-                large = schuetzenberger_by_path(crystal, b, nodes, "largest")
-                if small != xb or large != xb:
-                    yield (f"path transport disagrees on {nodes} at "
-                           f"{crystal.canon(b)}")
-                yield None
+    for g in intervals(crystal.rank):
+        p, q, nodes = g.p, g.q, g.nodes
+        for b in elements:
+            xb = schuetzenberger(crystal, b, nodes)
+            if schuetzenberger(crystal, xb, nodes) != b:
+                yield f"not an involution on {nodes} at {crystal.canon(b)}"
+            wb = list(crystal.weight(b))
+            wb[p - 1:q] = wb[p - 1:q][::-1]
+            if list(crystal.weight(xb)) != wb:
+                yield (f"weight not block-reversed on {nodes} at "
+                       f"{crystal.canon(b)}")
+            for i in nodes:
+                ti = theta_on_nodes(nodes, i)
+                lhs = crystal.e(i, xb)
+                down = crystal.f(ti, b)
+                if lhs != (None if down is None else
+                           schuetzenberger(crystal, down, nodes)):
+                    yield f"e_{i} twist fails on {nodes} at {crystal.canon(b)}"
+                lhs = crystal.f(i, xb)
+                up = crystal.e(ti, b)
+                if lhs != (None if up is None else
+                           schuetzenberger(crystal, up, nodes)):
+                    yield f"f_{i} twist fails on {nodes} at {crystal.canon(b)}"
+            small = schuetzenberger_by_path(crystal, b, nodes, "smallest")
+            large = schuetzenberger_by_path(crystal, b, nodes, "largest")
+            if small != xb or large != xb:
+                yield (f"path transport disagrees on {nodes} at "
+                       f"{crystal.canon(b)}")
+            yield None
 
+
+def verify_involution_properties(crystal: Crystal, elements) -> Report:
+    """The report of `involution_witnesses` on an element set."""
     return run_checks("involution",
                       {"rank": crystal.rank, "size": len(elements)},
-                      witnesses())
+                      involution_witnesses(crystal, elements))
 
 
 def verify_local_involution(crystal: Crystal, elements) -> Report:

@@ -1,16 +1,21 @@
 """The instance registry of `verify all`, the explicit `verify` targets and
 the acceptance tests.  A row is `(label, cost, thunk)`: `verify` alone
 checks the enumeration size `cost` against a budget; `thunk` gives a Report.
-`SUITES` maps each suite to its row builder, in `verify all` order.
+A row with several checks on one element set chains their witness streams
+into one `core.run_checks`, the only place `checked` is counted.  `SUITES`
+maps each suite to its row builder, in `verify all` order.
 """
 
 from functools import partial
+from itertools import chain
 from math import comb
 
 from .base import (format_partition, partitions_in_box, schur_bruteforce,
                    weyl_dimension)
-from .cactus import verify_cactus_relations, verify_reduced_braid
-from .core import (Report, character, check_crystal_axioms,
+from .cactus import (braid_witnesses, relation_witnesses,
+                     verify_cactus_relations, verify_reduced_braid)
+from .core import (Report, axiom_witnesses, character, check_crystal_axioms,
+                   involution_witnesses, run_checks,
                    verify_involution_properties)
 from .goldens import GOLDENS
 from .gt import check_cgp_homomorphism
@@ -41,33 +46,28 @@ def tableau_shapes() -> list:
             for shape in partitions_in_box(rank, size, size)]
 
 
-def in_order(checks, elements, instance: dict) -> Report:
-    """Run (check, crystal) pairs in order on `elements`; the report of the
-    first failure, else of the last check, tagged with `instance` and with
-    `checked` summed over the checks that ran."""
-    checked = 0
-    for check, crystal in checks:
-        rep = check(crystal, elements)
-        checked += rep.checked
-        if not rep.ok:
-            break
-    rep.checked = checked
-    rep.instance.update(instance)
-    return rep
+def chained(streams, source, *key) -> Report:
+    """One `run_checks` over the witness streams of `streams` on the
+    elements `source(*key)` of one row, one stream after another: each
+    (witnesses, model) pair streams witnesses(model(*key), elements).  The
+    chain is lazy, so no stream starts after a witness, and `checked`
+    counts the items read across the streams."""
+    elements = list(source(*key))
+    return run_checks("chained", {"size": len(elements)},
+                      chain.from_iterable(witnesses(model(*key), elements)
+                                          for witnesses, model in streams))
 
 
-def on_matrices(checks, n: int, m: int, N: int) -> Report:
-    """`in_order` on the n x m matrices with N ones; structure(n, m) is the
-    crystal of each check."""
-    return in_order([(check, structure(n, m)) for check, structure in checks],
-                    list(bit_matrices(n, m, N)), {"n": n, "m": m, "N": N})
+def _row_crystal(n: int, m: int, N: int):
+    return matrix_row_crystal(n, m)
 
 
-def on_tableaux(checks, shape, rank: int) -> Report:
-    """`in_order` on the rank-`rank` tableaux of `shape`."""
-    return in_order([(check, tableau_crystal(rank)) for check in checks],
-                    enumerate_b_lambda(shape, rank),
-                    {"rank": rank, "shape": format_partition(shape)})
+def _column_crystal(n: int, m: int, N: int):
+    return matrix_col_crystal(n, m)
+
+
+def _tableau_crystal(shape, rank: int):
+    return tableau_crystal(rank)
 
 
 def _oracle(shape, rank: int) -> Report:
@@ -112,28 +112,31 @@ def _shape_rows(label: str, check, cost, shapes) -> list:
             for rank, shape in shapes]
 
 
-AXIOMS = ((check_crystal_axioms, matrix_row_crystal),
-          (check_crystal_axioms, matrix_col_crystal))
-RELATIONS = ((verify_cactus_relations, matrix_col_crystal),
-             (verify_cactus_relations, matrix_row_crystal),
-             (verify_reduced_braid, matrix_row_crystal),
-             (verify_reduced_braid, matrix_col_crystal))
-XI = ((verify_involution_properties, matrix_col_crystal),
-      (verify_involution_properties, matrix_row_crystal))
+AXIOMS = ((axiom_witnesses, _row_crystal), (axiom_witnesses, _column_crystal))
+RELATIONS = ((relation_witnesses, _column_crystal),
+             (relation_witnesses, _row_crystal),
+             (braid_witnesses, _row_crystal),
+             (braid_witnesses, _column_crystal))
+XI = ((involution_witnesses, _column_crystal),
+      (involution_witnesses, _row_crystal))
+TABLEAU_RELATIONS = ((relation_witnesses, _tableau_crystal),
+                     (braid_witnesses, _tableau_crystal))
+TABLEAU_XI = ((involution_witnesses, _tableau_crystal),)
 
 SUITES = {
     "goldens": lambda: [(f"golden {name}", 0, check) for name, check in GOLDENS],
     **{name: partial(_matrix_rows, name, MATRIX_VERIFIERS[name],
                      matrix_sizes(12))
        for name in ("agree", "corollary", "commute", "dual")},
-    "axioms": partial(_matrix_rows, "axioms", partial(on_matrices, AXIOMS),
-                      matrix_sizes(12)),
+    "axioms": partial(_matrix_rows, "axioms",
+                      partial(chained, AXIOMS, bit_matrices), matrix_sizes(12)),
     "relations tableau": partial(
         _shape_rows, "cactus+braid",
-        partial(on_tableaux, (verify_cactus_relations, verify_reduced_braid)),
+        partial(chained, TABLEAU_RELATIONS, enumerate_b_lambda),
         weyl_dimension, tableau_shapes()),
     "relations matrix": partial(_matrix_rows, "cactus+braid matrix",
-                                partial(on_matrices, RELATIONS), matrix_sizes(9)),
+                                partial(chained, RELATIONS, bit_matrices),
+                                matrix_sizes(9)),
     "bk": partial(_shape_rows, "bk", check_cgp_homomorphism,
                   weyl_dimension, tableau_shapes()),
     "oracle": partial(_shape_rows, "oracle", _oracle, lambda shape, rank: 1,
@@ -141,11 +144,11 @@ SUITES = {
     "counting": partial(_matrix_rows, "counting", verify_counting,
                         [s for s in matrix_sizes(16)  # n and m in 2..4
                          if 2 <= s[0] <= 4 and 2 <= s[1] <= 4]),
-    "xi matrix": partial(_matrix_rows, "xi matrix", partial(on_matrices, XI),
-                         matrix_sizes(8)),
+    "xi matrix": partial(_matrix_rows, "xi matrix",
+                         partial(chained, XI, bit_matrices), matrix_sizes(8)),
     "xi tableau": partial(
         _shape_rows, "xi tableau",
-        partial(on_tableaux, (verify_involution_properties,)),
+        partial(chained, TABLEAU_XI, enumerate_b_lambda),
         weyl_dimension,
         ((3, (2, 1)), (3, (3, 1)), (4, (2, 1, 1)), (4, (3, 2)))),
 }

@@ -459,6 +459,14 @@ def test_usage_errors_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
     assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
 
+def test_abbreviated_flags_are_refused(capsys):
+    # a prefix is not read as the flag it abbreviates, even where no other
+    # flag shares it
+    assert run(["verify", "all", "--bud", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bud" in captured.err
+
+
 def test_rank_zero_patterns_print_what_rank_zero_tableaux_print(tmp_path,
                                                                 capsys):
     for command in ("graph", "character"):
@@ -613,8 +621,6 @@ VALUES = {"--model": ("matrix", "tableau"), "--rank": ("3", "2"),
           "--force": None, "--moves": ("t1", "q2"), "--to-tableau": None,
           "--beta": None, "--format": ("json", "text")}
 GT_FLAGS = ("--moves", "--to-tableau", "--beta", "--format")
-# argparse reads an unambiguous prefix as the longer flag
-ABBREVIATED = {"gt": "--m", "tensor": "--shape"}
 MODELS = {"tableau": {"--model": "tableau", "--rank": "3", "--shape": "2,1"},
           "gt": {"--model": "gt", "--rank": "3", "--shape": "2,1"},
           "matrix": {"--model": "matrix", "--n": "2", "--m": "3", "--N": "3",
@@ -706,8 +712,7 @@ def test_each_command_reads_every_flag_it_accepts(tmp_path, monkeypatch,
     assert code == 0, base.err
     command = prefix[0]
     unread = [flag for flag in VALUES if flag not in flags
-              and (command == "gt" or flag not in GT_FLAGS)
-              and ABBREVIATED.get(command) != flag]
+              and (command == "gt" or flag not in GT_FLAGS)]
     for flag in unread:
         value = True if VALUES[flag] is None else VALUES[flag][0]
         code, captured = outcome({**flags, flag: value})

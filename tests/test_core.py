@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -605,6 +606,17 @@ def test_run_checks_never_resumes_past_a_witness():
 def test_run_checks_passes_an_empty_iterator_with_nothing_checked():
     rep = run_checks("rule", {}, iter(()))
     assert (rep.status, rep.checked, rep.witness) == ("pass", 0, None)
+
+
+def test_run_checks_counts_across_chained_streams_and_starts_none_after():
+    def never_started():
+        raise AssertionError("a stream after the witness was started")
+        yield
+
+    streams = (iter([None, None]), iter([None, None, "third", None]),
+               never_started())
+    rep = run_checks("rule", {}, chain.from_iterable(streams))
+    assert (rep.status, rep.checked, rep.witness) == ("fail", 5, "third")
 
 
 def test_run_checks_passes_the_name_and_instance_through():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import glcrystals
@@ -94,6 +95,40 @@ def test_reports_are_built_only_at_the_reporting_sites():
                     found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert sorted(found) == ["cli.cmd_verify", "core.run_checks",
                              "goldens.run_golden", "suites._oracle"]
+
+
+def test_checked_is_counted_only_in_run_checks():
+    # one counting rule: a row with several checks chains their witness
+    # streams into one run_checks, so no other code stores a name or
+    # attribute `checked` (an assignment, augmented assignment or loop
+    # target); the Report field declaration is the one other store
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                stored = isinstance(getattr(node, "ctx", None), ast.Store)
+                if stored and "checked" in (getattr(node, "id", None),
+                                            getattr(node, "attr", None)):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sorted(found) == ["core.Report", "core.run_checks"]
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the library runs on a bare Python; relative imports are its own modules
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
 
 
 def test_traced_names_resolve_on_the_package():

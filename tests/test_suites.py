@@ -69,16 +69,25 @@ FAULTS = {
 }
 
 
-def test_in_order_sums_checked_over_the_checks_it_ran():
-    def check(checked, status):
-        return lambda crystal, elements: core.Report("c", {}, checked, status)
+# row -> (checked, witness) with every Kashiwara reflection one step short:
+# each row fails in a braid stream, after its relation streams have run
+BRAID_AFTER_RELATIONS = {
+    ("relations matrix", "cactus+braid matrix n=2 m=3 N=3"):
+        (128, "s_2 squared != id at 110010"),
+    ("relations matrix", "cactus+braid matrix n=3 m=2 N=2"):
+        (92, "s_1 squared != id at 101000"),
+    ("relations tableau", "cactus+braid rank=3 shape=2,1"):
+        (44, "s_1 squared != id at 1,1/3"),
+}
 
-    rep = suites.in_order([(check(2, "pass"), None), (check(3, "fail"), None),
-                           (check(5, "pass"), None)], [], {"n": 1})
-    assert (rep.checked, rep.status, rep.instance) == (5, "fail", {"n": 1})
-    rep = suites.in_order([(check(2, "pass"), None), (check(0, "pass"), None)],
-                          [], {"n": 1})
-    assert (rep.checked, rep.status) == (2, "pass")
+
+@pytest.mark.parametrize("suite, label", sorted(BRAID_AFTER_RELATIONS))
+def test_chained_row_counts_every_stream_it_read(monkeypatch, suite, label):
+    monkeypatch.setattr(cactus, "kashiwara_reflection",
+                        _reflection_one_step_short)
+    rep = _row(suite, label)()
+    assert rep.status == "fail"
+    assert (rep.checked, rep.witness) == BRAID_AFTER_RELATIONS[suite, label]
 
 
 def _row(suite, label):
